@@ -117,10 +117,14 @@ measure_workload(const std::string& name, const VmFactory& factory,
     out.image_bytes = image.size();
     out.state_bytes = (ck->pages.size() + ck->blocks.size()) * kPageSize;
 
-    // Restore latency, best of three: a fresh VM booted from the
-    // in-memory checkpoint (full rewrite) versus from the wire image
-    // (decode + full rewrite) — the remote-AR boot path.
-    for (int round = 0; round < 3; ++round) {
+    // Restore latency, best of kRestoreRounds: a fresh VM booted from
+    // the in-memory checkpoint versus from the wire image (decode, then
+    // the same restore) — the remote-AR boot path. Both rewrite only the
+    // pages that are not zero over pristine ones, so each takes well
+    // under a millisecond and needs more than a few rounds for a stable
+    // minimum.
+    constexpr int kRestoreRounds = 15;
+    for (int round = 0; round < kRestoreRounds; ++round) {
         auto mem_vm = factory();
         rnr::Replayer mem_env(mem_vm.get(), &log, ck->log_pos,
                               rnr::ReplayOptions{});

@@ -19,14 +19,21 @@ next_disk_id()
     return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-}  // namespace
-
-Disk::Disk(std::size_t num_blocks)
-    : blocks_(num_blocks), id_(next_disk_id())
+std::size_t
+checked_blocks(std::size_t num_blocks)
 {
     if (num_blocks == 0)
         fatal("Disk: zero-sized disk");
-    bytes_.assign(num_blocks * kDiskBlockSize, 0);
+    return num_blocks;
+}
+
+}  // namespace
+
+Disk::Disk(std::size_t num_blocks)
+    : blocks_(checked_blocks(num_blocks)),
+      bytes_(num_blocks * kDiskBlockSize),
+      id_(next_disk_id())
+{
     dirty_bits_.assign((num_blocks + 63) / 64, 0);
     block_epoch_.assign(num_blocks, 0);
 }
@@ -84,12 +91,7 @@ Disk::clear_dirty()
 std::uint64_t
 Disk::content_hash() const
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const auto byte : bytes_) {
-        hash ^= byte;
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
+    return fnv1a64_written(bytes_, kDiskBlockSize, block_epoch_);
 }
 
 void

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "mem/anon_mapping.h"
 
 /**
  * @file
@@ -16,6 +17,11 @@
  * tracks dirty blocks exactly like PhysMem tracks dirty pages — a bitmap
  * with a cached count, plus the epoch machinery that lets checkpoint
  * restore skip blocks that have not changed since the checkpoint.
+ *
+ * Like PhysMem, the bytes live in a lazily zero-filled AnonMapping, and a
+ * block whose epoch is still 0 is "pristine": never written, all zero.
+ * Invariant: write_block(), the only entry point that changes bytes,
+ * marks the block dirty, so a block never returns to pristine.
  */
 
 namespace rsafe::mem {
@@ -23,7 +29,7 @@ namespace rsafe::mem {
 /** A block-addressable virtual disk with dirty-block tracking. */
 class Disk {
   public:
-    /** Create a disk of @p num_blocks blocks, zero-filled. */
+    /** Create a disk of @p num_blocks blocks, all zero (and pristine). */
     explicit Disk(std::size_t num_blocks);
 
     /** @return number of blocks. */
@@ -61,14 +67,20 @@ class Disk {
     }
     /** @} */
 
-    /** FNV-1a hash over the disk contents. */
+    /** @return true if @p block was never written: it is all zero. */
+    bool block_pristine(BlockNum block) const
+    {
+        return block_epoch_[block] == 0;
+    }
+
+    /** FNV-1a hash over the disk contents (pristine blocks not read). */
     std::uint64_t content_hash() const;
 
   private:
     void mark_dirty_block(BlockNum block);
 
     std::size_t blocks_;
-    std::vector<std::uint8_t> bytes_;
+    AnonMapping bytes_;
     std::vector<std::uint64_t> dirty_bits_;
     std::size_t dirty_count_ = 0;
     std::vector<std::uint64_t> block_epoch_;

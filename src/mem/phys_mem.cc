@@ -25,14 +25,21 @@ next_phys_mem_id()
     return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-}  // namespace
-
-PhysMem::PhysMem(std::size_t size) : id_(next_phys_mem_id())
+std::size_t
+ram_pages(std::size_t size)
 {
     const std::size_t pages = (size + kPageSize - 1) / kPageSize;
     if (pages == 0)
         fatal("PhysMem: zero-sized memory");
-    bytes_.assign(pages * kPageSize, 0);
+    return pages;
+}
+
+}  // namespace
+
+PhysMem::PhysMem(std::size_t size)
+    : bytes_(ram_pages(size) * kPageSize), id_(next_phys_mem_id())
+{
+    const std::size_t pages = num_pages();
     perms_.assign(pages, kPermRW);
     dirty_bits_.assign((pages + 63) / 64, 0);
     gen_.assign(pages, 0);
@@ -256,12 +263,7 @@ PhysMem::clear_dirty()
 std::uint64_t
 PhysMem::content_hash() const
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const auto byte : bytes_) {
-        hash ^= byte;
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
+    return fnv1a64_written(bytes_, kPageSize, page_epoch_);
 }
 
 void

@@ -6,6 +6,7 @@
 
 #include "common/types.h"
 #include "isa/program.h"
+#include "mem/anon_mapping.h"
 
 /**
  * @file
@@ -26,6 +27,15 @@
  *  - clear_dirty() advances a global epoch, and each page remembers the
  *    last epoch it was dirtied in, which lets checkpoint restore touch
  *    only the pages that actually changed since the checkpoint was taken.
+ *
+ * The bytes live in a lazily zero-filled anonymous mapping (AnonMapping),
+ * so a VM pays in time and resident memory only for the pages it writes.
+ * A page whose epoch is still 0 has never been written and is all zero:
+ * it is "pristine". Invariant: every entry point that can change a byte
+ * (write, write_raw, write_block, load_image, restore_page) marks the
+ * page dirty, which sets its epoch — so a page never returns to
+ * pristine, even when written back to all-zero. Checkpoint take and
+ * restore use page_pristine() to skip pages nobody touched.
  */
 
 namespace rsafe::mem {
@@ -167,7 +177,13 @@ class PhysMem {
     std::uint64_t page_epoch(Addr page) const { return page_epoch_[page]; }
     /** @} */
 
-    /** FNV-1a hash over all RAM bytes; the determinism test oracle. */
+    /** @return true if @p page was never written: it is all zero. */
+    bool page_pristine(Addr page) const { return page_epoch_[page] == 0; }
+
+    /**
+     * FNV-1a hash over all RAM bytes; the determinism test oracle.
+     * Pristine pages are folded in without being read.
+     */
     std::uint64_t content_hash() const;
 
   private:
@@ -197,7 +213,7 @@ class PhysMem {
         }
     }
 
-    std::vector<std::uint8_t> bytes_;
+    AnonMapping bytes_;
     std::vector<std::uint8_t> perms_;
     std::vector<std::uint64_t> dirty_bits_;   ///< one bit per page
     std::size_t dirty_count_ = 0;

@@ -61,16 +61,23 @@ CheckpointStore::take(hv::Vm& vm, const hv::VmEnvBase& env,
     const auto prev = latest();
 
     if (!prev) {
-        // First checkpoint: full copy (the dedup pool collapses the
-        // mostly-identical zero pages into a handful of stored bytes).
+        // First checkpoint: full copy. Pages and blocks never written
+        // since construction are zero, so they intern to the pool's
+        // shared zero page without being read or hashed; the copy count
+        // (and so the simulated cost) still covers every one of them.
         ck->pages = ckpt::StoredPageTable(mem.num_pages());
         ck->blocks = ckpt::StoredPageTable(disk.num_blocks());
         for (Addr page = 0; page < mem.num_pages(); ++page) {
-            ck->pages.set(page, pool_.intern(mem.page_data(page)));
+            ck->pages.set(page, mem.page_pristine(page)
+                                    ? pool_.intern_zero()
+                                    : pool_.intern(mem.page_data(page)));
             ++ck->copies;
         }
         for (BlockNum block = 0; block < disk.num_blocks(); ++block) {
-            ck->blocks.set(block, pool_.intern(disk.block_data(block)));
+            ck->blocks.set(block,
+                           disk.block_pristine(block)
+                               ? pool_.intern_zero()
+                               : pool_.intern(disk.block_data(block)));
             ++ck->copies;
         }
     } else {
@@ -198,9 +205,12 @@ restore_checkpoint(const Checkpoint& checkpoint, hv::Vm* vm,
     // a page can only differ from the checkpointed copy if it was
     // dirtied in this or a later epoch; everything older is untouched
     // RAM and need not be rewritten (or decode-cache invalidated).
-    // Stored pages decode through a stack buffer: compressed, deduped,
-    // and raw storage all restore the same raw bytes, which the A/B
-    // determinism gates hold bit-identical.
+    // Into any memory, a zero page over a pristine (never written, so
+    // zero) page is already in place: a fresh AR VM rewrites only the
+    // pages the recorded run made nonzero. Both hold for in-memory and
+    // shipped checkpoints alike. Stored pages decode through a stack
+    // buffer: compressed, deduped, and raw storage all restore the same
+    // raw bytes, which the A/B determinism gates hold bit-identical.
     std::uint8_t raw[kPageSize];
     const bool mem_delta = checkpoint.mem_id == mem.id();
     for (Addr page = 0; page < checkpoint.pages.size(); ++page) {
@@ -209,6 +219,8 @@ restore_checkpoint(const Checkpoint& checkpoint, hv::Vm* vm,
         const auto& ref = checkpoint.pages.at(page);
         if (!ref)
             continue;  // only possible in a hand-built partial image
+        if (ref->is_zero() && mem.page_pristine(page))
+            continue;
         ref->copy_to(raw);
         mem.restore_page(page, raw);
     }
@@ -217,7 +229,7 @@ restore_checkpoint(const Checkpoint& checkpoint, hv::Vm* vm,
         if (disk_delta && disk.block_epoch(block) < checkpoint.disk_epoch)
             continue;
         const auto& ref = checkpoint.blocks.at(block);
-        if (!ref)
+        if (!ref || (ref->is_zero() && disk.block_pristine(block)))
             continue;
         ref->copy_to(raw);
         disk.write_block(block, raw);

@@ -503,9 +503,7 @@ deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
                                           frame[0], " is unknown"));
             }
             uniques.push_back(std::make_shared<const StoredPage>(
-                encoding, std::move(encoded),
-                wire::fnv1a64(raw, kPageSize),
-                wire::crc32c(raw, kPageSize)));
+                encoding, std::move(encoded), page_is_zero(raw)));
             return Status();
         });
     if (!report.intact())

@@ -12,10 +12,21 @@ namespace rsafe::replay::ckpt {
 
 namespace wire = rnr::wire;
 
+namespace {
+
+constexpr std::uint8_t kZeroPage[kPageSize] = {};
+
+}  // namespace
+
+bool
+page_is_zero(const std::uint8_t* data)
+{
+    return std::memcmp(data, kZeroPage, kPageSize) == 0;
+}
+
 StoredPage::StoredPage(PageEncoding encoding,
-                       std::vector<std::uint8_t> bytes, std::uint64_t hash,
-                       std::uint32_t crc)
-    : encoding_(encoding), bytes_(std::move(bytes)), hash_(hash), crc_(crc)
+                       std::vector<std::uint8_t> bytes, bool is_zero)
+    : encoding_(encoding), bytes_(std::move(bytes)), is_zero_(is_zero)
 {
 }
 
@@ -56,14 +67,13 @@ PagePool::intern(const std::uint8_t* data)
     ++totals_.pages_interned;
     totals_.bytes_raw += kPageSize;
     const std::uint64_t hash = wire::fnv1a64(data, kPageSize);
-    const std::uint32_t crc = wire::crc32c(data, kPageSize);
 
     std::vector<std::weak_ptr<const StoredPage>>* bucket = nullptr;
     if (options_.dedup) {
         bucket = &index_[hash];
         // Drop entries whose pages were recycled, and look for a live
-        // equal-content page. The CRC pre-check plus the byte compare
-        // makes a hash collision a miss, never an aliasing bug.
+        // equal-content page. The byte compare makes a hash collision a
+        // miss, never an aliasing bug.
         bucket->erase(std::remove_if(bucket->begin(), bucket->end(),
                                      [](const auto& weak) {
                                          return weak.expired();
@@ -71,8 +81,7 @@ PagePool::intern(const std::uint8_t* data)
                       bucket->end());
         for (const auto& weak : *bucket) {
             const StoredPageRef page = weak.lock();
-            if (page && page->content_crc() == crc &&
-                page->content_equals(data)) {
+            if (page && page->content_equals(data)) {
                 ++totals_.dedup_hits;
                 return page;
             }
@@ -96,7 +105,7 @@ PagePool::intern(const std::uint8_t* data)
     live_->pages.fetch_add(1, std::memory_order_relaxed);
     const auto live = live_;
     StoredPageRef page(
-        new StoredPage(encoding, std::move(bytes), hash, crc),
+        new StoredPage(encoding, std::move(bytes), page_is_zero(data)),
         [live](const StoredPage* p) {
             live->bytes.fetch_sub(p->stored_bytes(),
                                   std::memory_order_relaxed);
@@ -105,6 +114,24 @@ PagePool::intern(const std::uint8_t* data)
         });
     if (bucket != nullptr)
         bucket->push_back(page);
+    return page;
+}
+
+StoredPageRef
+PagePool::intern_zero()
+{
+    if (options_.dedup) {
+        // At most one zero page is live in a dedup pool, so while zero_
+        // lives it is exactly the page intern() would find.
+        if (StoredPageRef page = zero_.lock()) {
+            ++totals_.pages_interned;
+            totals_.bytes_raw += kPageSize;
+            ++totals_.dedup_hits;
+            return page;
+        }
+    }
+    StoredPageRef page = intern(kZeroPage);
+    zero_ = page;
     return page;
 }
 

@@ -22,16 +22,23 @@
  * that holds it — so successive checkpoints own only their genuinely new
  * bytes (Section 4.6.1's recycling made byte-accurate).
  *
- * Pages are keyed by (FNV-1a 64, CRC32C) of their raw content and a hit
- * is confirmed with a full byte compare, so a hash collision can never
+ * Pages are keyed by the FNV-1a 64 of their raw content and a hit is
+ * confirmed with a full byte compare, so a hash collision can never
  * silently alias two different pages. Stored pages are RLE-compressed
  * (compress.h) unless that would grow them — or unless compression is
  * disabled, the RSAFE_NO_CKPT_COMPRESS A/B lever.
  *
- * Thread contract: intern() is called from one thread (the CR); the
- * returned refs may be dropped from any thread (AR workers, the
- * writeback thread), so the live-byte accounting rides in atomics
- * updated by the pages' deleters.
+ * A page that memory reports pristine (never written, so all zero) goes
+ * to intern_zero() instead, which hands back the pool's shared zero page
+ * without reading or hashing anything — the initial full checkpoint of
+ * a fresh VM is almost all such pages. Stored pages remember whether
+ * they are all zero (is_zero()), which lets restore skip writing a zero
+ * page over a pristine one.
+ *
+ * Thread contract: intern() and intern_zero() are called from one
+ * thread (the CR); the returned refs may be dropped from any thread (AR
+ * workers, the writeback thread), so the live-byte accounting rides in
+ * atomics updated by the pages' deleters.
  */
 
 namespace rsafe::replay::ckpt {
@@ -49,11 +56,10 @@ class StoredPage {
      * @param encoding  how @p bytes are encoded (kRle streams must decode
      *                  to exactly kPageSize bytes — the constructors'
      *                  callers validate this).
-     * @param hash      FNV-1a 64 of the raw (decoded) content.
-     * @param crc       CRC32C of the raw (decoded) content.
+     * @param is_zero   whether the raw content is all zero bytes.
      */
     StoredPage(PageEncoding encoding, std::vector<std::uint8_t> bytes,
-               std::uint64_t hash, std::uint32_t crc);
+               bool is_zero);
 
     /** Decode the page into @p out (exactly kPageSize bytes). */
     void copy_to(std::uint8_t* out) const;
@@ -64,15 +70,17 @@ class StoredPage {
     PageEncoding encoding() const { return encoding_; }
     const std::vector<std::uint8_t>& encoded() const { return bytes_; }
     std::size_t stored_bytes() const { return bytes_.size(); }
-    std::uint64_t content_hash() const { return hash_; }
-    std::uint32_t content_crc() const { return crc_; }
+    /** @return true if the raw content is kPageSize zero bytes. */
+    bool is_zero() const { return is_zero_; }
 
   private:
     PageEncoding encoding_;
     std::vector<std::uint8_t> bytes_;
-    std::uint64_t hash_;
-    std::uint32_t crc_;
+    bool is_zero_;
 };
+
+/** @return true if the kPageSize bytes at @p data are all zero. */
+bool page_is_zero(const std::uint8_t* data);
 
 /** Shared reference to an immutable stored page. */
 using StoredPageRef = std::shared_ptr<const StoredPage>;
@@ -90,7 +98,10 @@ struct PagePoolOptions {
 
 /** Byte-accurate accounting of one pool (read any time). */
 struct PagePoolStats {
-    /** intern() calls — what a raw page-copy store would have copied. */
+    /**
+     * intern() and intern_zero() calls — what a raw page-copy store would
+     * have copied.
+     */
     std::uint64_t pages_interned = 0;
     /** Interns satisfied by an existing equal-content page. */
     std::uint64_t dedup_hits = 0;
@@ -118,6 +129,14 @@ class PagePool {
      */
     StoredPageRef intern(const std::uint8_t* data);
 
+    /**
+     * intern() of an all-zero page, without reading one: with dedup on,
+     * a hit on the live zero page costs no hashing at all. Accounting
+     * (pages_interned, dedup_hits, bytes_stored, ...) is exactly what
+     * intern() of zero bytes would record.
+     */
+    StoredPageRef intern_zero();
+
     PagePoolStats stats() const;
 
   private:
@@ -133,6 +152,8 @@ class PagePool {
     std::unordered_map<std::uint64_t,
                        std::vector<std::weak_ptr<const StoredPage>>>
         index_;
+    /** The live zero page interned through this pool, if any. */
+    std::weak_ptr<const StoredPage> zero_;
     PagePoolStats totals_;
 };
 

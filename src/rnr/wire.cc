@@ -11,20 +11,30 @@ namespace {
 /** Castagnoli polynomial, bit-reflected. */
 constexpr std::uint32_t kCrc32cPoly = 0x82f63b78u;
 
-const std::array<std::uint32_t, 256>&
-crc32c_table()
+/**
+ * Slice-by-8 tables: table[0] is the classic byte table, and table[k][b]
+ * is the CRC of byte b followed by k zero bytes, so eight table lookups
+ * fold in a whole 8-byte word at once.
+ */
+using Crc32cTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const Crc32cTables&
+crc32c_tables()
 {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
+    static const Crc32cTables tables = [] {
+        Crc32cTables t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t crc = i;
             for (int bit = 0; bit < 8; ++bit)
                 crc = (crc >> 1) ^ ((crc & 1) ? kCrc32cPoly : 0);
-            t[i] = crc;
+            t[0][i] = crc;
         }
+        for (std::size_t k = 1; k < t.size(); ++k)
+            for (std::uint32_t i = 0; i < 256; ++i)
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
         return t;
     }();
-    return table;
+    return tables;
 }
 
 void
@@ -72,13 +82,23 @@ read_u64(const std::uint8_t* p)
     return v;
 }
 
-/** Raw (no init/final XOR) CRC update, for incremental use. */
+/**
+ * Raw (no init/final XOR) CRC update, for incremental use: slice-by-8
+ * over whole 8-byte words, then the byte table for the tail. Bytes are
+ * assembled explicitly, so it is endian- and alignment-independent.
+ */
 std::uint32_t
 crc32c_update(std::uint32_t crc, const std::uint8_t* data, std::size_t len)
 {
-    const auto& table = crc32c_table();
-    for (std::size_t i = 0; i < len; ++i)
-        crc = table[(crc ^ data[i]) & 0xff] ^ (crc >> 8);
+    const auto& t = crc32c_tables();
+    for (; len >= 8; data += 8, len -= 8) {
+        const std::uint32_t lo = crc ^ read_u32(data);
+        crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+              t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^ t[3][data[4]] ^
+              t[2][data[5]] ^ t[1][data[6]] ^ t[0][data[7]];
+    }
+    for (; len > 0; ++data, --len)
+        crc = t[0][(crc ^ *data) & 0xff] ^ (crc >> 8);
     return crc;
 }
 

@@ -70,6 +70,28 @@ round_trip(const std::vector<std::uint8_t>& raw)
     return decoded;
 }
 
+std::size_t
+pristine_pages(const hv::Vm& vm)
+{
+    std::size_t n = 0;
+    for (Addr page = 0; page < vm.mem().num_pages(); ++page)
+        n += vm.mem().page_pristine(page) ? 1 : 0;
+    return n;
+}
+
+void
+expect_same_pool_stats(const replay::ckpt::PagePoolStats& a,
+                       const replay::ckpt::PagePoolStats& b)
+{
+    EXPECT_EQ(a.pages_interned, b.pages_interned);
+    EXPECT_EQ(a.dedup_hits, b.dedup_hits);
+    EXPECT_EQ(a.bytes_raw, b.bytes_raw);
+    EXPECT_EQ(a.bytes_stored, b.bytes_stored);
+    EXPECT_EQ(a.compressed_pages, b.compressed_pages);
+    EXPECT_EQ(a.live_bytes, b.live_bytes);
+    EXPECT_EQ(a.live_pages, b.live_pages);
+}
+
 // ---------------------------------------------------------------------
 // The RLE codec.
 
@@ -224,6 +246,103 @@ TEST(PagePool, CompressionIsOptionalAndLossless)
     EXPECT_EQ(b, zero);
     EXPECT_EQ(rle_pool.stats().compressed_pages, 1u);
     EXPECT_EQ(raw_pool.stats().compressed_pages, 0u);
+}
+
+TEST(PagePool, InternZeroIsInternOfAZeroPage)
+{
+    const std::vector<std::uint8_t> zero(kPageSize, 0);
+    std::vector<std::uint8_t> other(kPageSize, 0);
+    other[4000] = 1;
+
+    replay::ckpt::PagePool via_zero, via_bytes;
+    auto a = via_zero.intern_zero();
+    auto b = via_zero.intern(zero.data());
+    auto c = via_zero.intern_zero();
+    auto d = via_zero.intern(other.data());
+    EXPECT_EQ(a.get(), b.get());
+    EXPECT_EQ(a.get(), c.get());
+    EXPECT_TRUE(a->is_zero());
+    EXPECT_FALSE(d->is_zero());
+    const auto a2 = via_bytes.intern(zero.data());
+    const auto b2 = via_bytes.intern(zero.data());
+    const auto c2 = via_bytes.intern(zero.data());
+    const auto d2 = via_bytes.intern(other.data());
+    EXPECT_TRUE(a2->is_zero());
+    EXPECT_FALSE(d2->is_zero());
+    expect_same_pool_stats(via_zero.stats(), via_bytes.stats());
+
+    // Once every reference is gone, the next zero intern stores anew.
+    a.reset();
+    b.reset();
+    c.reset();
+    const auto again = via_zero.intern_zero();
+    EXPECT_TRUE(again->is_zero());
+    EXPECT_EQ(via_zero.stats().live_pages, 2u);
+    EXPECT_EQ(via_zero.stats().dedup_hits, 2u);
+}
+
+/**
+ * The initial checkpoint of a fresh VM, which sends pristine pages to
+ * intern_zero(), must equal interning every page's bytes: same digest,
+ * same pool accounting.
+ */
+void
+expect_initial_take_matches_interning_every_page(bool dedup, bool compress)
+{
+    SCOPED_TRACE(strcat_args("dedup=", dedup, " compress=", compress));
+    auto vm = workloads::make_vm(small_profile());
+    auto& mem = vm->mem();
+    auto& disk = vm->hub().disk();
+    // Besides the loaded images: a written block, and a page written
+    // back to zero (non-pristine, yet zero).
+    const std::vector<std::uint8_t> block(kDiskBlockSize, 0x5a);
+    disk.write_block(3, block.data());
+    mem.write_raw(mem.size() - 8, 8, 0);
+    const std::size_t pristine = pristine_pages(*vm);
+    ASSERT_GT(pristine, 0u);
+    ASSERT_LT(pristine, mem.num_pages()) << "the images were loaded";
+
+    replay::ckpt::PagePoolOptions pool_options;
+    pool_options.dedup = dedup;
+    pool_options.compress = compress;
+    replay::ckpt::PagePool pool(pool_options);
+    replay::ckpt::StoredPageTable pages(mem.num_pages());
+    replay::ckpt::StoredPageTable blocks(disk.num_blocks());
+    for (Addr page = 0; page < mem.num_pages(); ++page)
+        pages.set(page, pool.intern(mem.page_data(page)));
+    for (BlockNum block = 0; block < disk.num_blocks(); ++block)
+        blocks.set(block, pool.intern(disk.block_data(block)));
+
+    rnr::InputLog empty_log;
+    rnr::Replayer env(vm.get(), &empty_log, 0, rnr::ReplayOptions{});
+    replay::CheckpointStoreOptions options;
+    options.dedup = dedup;
+    options.compress = compress;
+    replay::CheckpointStore store(options);
+    const auto ck = store.take(*vm, env, 0);
+    EXPECT_EQ(ck->copies, mem.num_pages() + disk.num_blocks());
+
+    replay::Checkpoint reference = *ck;
+    reference.pages = pages;
+    reference.blocks = blocks;
+    EXPECT_EQ(replay::digest_of(*ck), replay::digest_of(reference));
+
+    const auto taken = store.stats();
+    const auto interned = pool.stats();
+    EXPECT_EQ(store.total_copies(), interned.pages_interned);
+    EXPECT_EQ(taken.bytes_raw, interned.bytes_raw);
+    EXPECT_EQ(taken.bytes_stored, interned.bytes_stored);
+    EXPECT_EQ(taken.dedup_hits, interned.dedup_hits);
+    EXPECT_EQ(taken.compressed_pages, interned.compressed_pages);
+    EXPECT_EQ(taken.live_bytes, interned.live_bytes);
+    EXPECT_EQ(taken.live_pages, interned.live_pages);
+}
+
+TEST(CheckpointStore, InitialTakeEqualsInterningEveryPage)
+{
+    expect_initial_take_matches_interning_every_page(true, true);
+    expect_initial_take_matches_interning_every_page(false, true);
+    expect_initial_take_matches_interning_every_page(true, false);
 }
 
 // ---------------------------------------------------------------------
@@ -708,6 +827,90 @@ TEST(ArStage, BootsFromDeserializedCheckpointWithIdenticalVerdicts)
                   direct.analysis.analysis_cycles);
         EXPECT_EQ(shipped.deep_rerun, direct.deep_rerun);
         EXPECT_EQ(shipped_stats.snapshot(), direct_stats.snapshot());
+    }
+}
+
+/** @p factory, but every RAM page and disk block is rewritten with its
+ *  own bytes first: no page is pristine, so restore takes the full path. */
+core::VmFactory
+all_written(core::VmFactory factory)
+{
+    return [factory] {
+        auto vm = factory();
+        auto& mem = vm->mem();
+        std::vector<std::uint8_t> bytes(kPageSize);
+        for (Addr page = 0; page < mem.num_pages(); ++page) {
+            mem.read_block(page * kPageSize, bytes.data(), kPageSize);
+            mem.write_block(page * kPageSize, bytes.data(), kPageSize);
+        }
+        auto& disk = vm->hub().disk();
+        for (BlockNum block = 0; block < disk.num_blocks(); ++block) {
+            disk.read_block(block, bytes.data());
+            disk.write_block(block, bytes.data());
+        }
+        return vm;
+    };
+}
+
+TEST(ArStage, PristineSkipRestoresExactlyWhatTheFullPathDoes)
+{
+    const auto factory = attack_factory();
+    const auto written = all_written(factory);
+    // Checkpoints well into the run, so the restored images hold pages
+    // the run made nonzero that are pristine in a fresh VM.
+    core::FrameworkConfig config;
+    config.cr.checkpoint_interval = 20'000;
+    core::RnrSafeFramework framework(factory, config);
+    auto result = framework.run();
+    const auto& log = result.recorder->log();
+    ASSERT_FALSE(result.cr->pending_alarms().empty());
+    ASSERT_GT(result.cr->pending_alarms().back().checkpoint->icount, 0u);
+
+    core::ArStage fresh_stage(factory, rnr::ReplayOptions{}, nullptr);
+    core::ArStage full_stage(written, rnr::ReplayOptions{}, nullptr);
+    for (const auto& pending : result.cr->pending_alarms()) {
+        ASSERT_NE(pending.checkpoint, nullptr);
+        const auto image =
+            replay::ckpt::serialize_checkpoint(*pending.checkpoint);
+        replay::Checkpoint shipped;
+        ASSERT_TRUE(replay::ckpt::deserialize_checkpoint(image, &shipped)
+                        .ok());
+
+        // The restored machine, in-memory and shipped.
+        for (const replay::Checkpoint* ck :
+             {pending.checkpoint.get(),
+              static_cast<const replay::Checkpoint*>(&shipped)}) {
+            auto fresh = factory();
+            auto full = written();
+            ASSERT_EQ(pristine_pages(*full), 0u);
+            rnr::Replayer fresh_env(fresh.get(), &log, ck->log_pos,
+                                    rnr::ReplayOptions{});
+            rnr::Replayer full_env(full.get(), &log, ck->log_pos,
+                                   rnr::ReplayOptions{});
+            replay::restore_checkpoint(*ck, fresh.get(), &fresh_env);
+            replay::restore_checkpoint(*ck, full.get(), &full_env);
+            EXPECT_GT(pristine_pages(*fresh), 0u) << "nothing was skipped";
+            EXPECT_EQ(fresh->state_hash(), full->state_hash());
+        }
+
+        // The AR verdicts, both ways.
+        stats::StatRegistry fresh_stats, full_stats;
+        const auto a = fresh_stage.analyze(pending, &log, &fresh_stats);
+        const auto b = full_stage.analyze(pending, &log, &full_stats);
+        rnr::InputLogSource source_a(&log), source_b(&log);
+        const auto c =
+            fresh_stage.analyze_image(pending, image, &source_a, &fresh_stats);
+        const auto d =
+            full_stage.analyze_image(pending, image, &source_b, &full_stats);
+        for (const auto* other : {&b, &c, &d}) {
+            EXPECT_EQ(other->analysis.cause, a.analysis.cause);
+            EXPECT_EQ(other->analysis.is_attack, a.analysis.is_attack);
+            EXPECT_EQ(other->analysis.report, a.analysis.report);
+            EXPECT_EQ(other->analysis.analysis_cycles,
+                      a.analysis.analysis_cycles);
+            EXPECT_EQ(other->deep_rerun, a.deep_rerun);
+        }
+        EXPECT_EQ(fresh_stats.snapshot(), full_stats.snapshot());
     }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "common/log.h"
 #include "mem/cow_store.h"
 #include "mem/disk.h"
@@ -136,6 +141,111 @@ TEST(PhysMem, ContentHashDetectsChanges)
     EXPECT_EQ(a.content_hash(), b.content_hash());
 }
 
+/** Byte-at-a-time FNV-1a 64 over @p bytes: the content-hash reference. */
+std::uint64_t
+fnv_bytes(const std::vector<std::uint8_t>& bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const std::uint8_t byte : bytes) {
+        hash ^= byte;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+std::vector<std::uint8_t>
+all_bytes(const PhysMem& mem)
+{
+    std::vector<std::uint8_t> bytes(mem.size());
+    mem.read_block(0, bytes.data(), bytes.size());
+    return bytes;
+}
+
+TEST(PhysMem, FreshMemoryIsPristineEverywhereAndReadsZero)
+{
+    PhysMem mem(4 * kPageSize);
+    for (Addr page = 0; page < mem.num_pages(); ++page)
+        EXPECT_TRUE(mem.page_pristine(page)) << "page " << page;
+    EXPECT_EQ(all_bytes(mem), std::vector<std::uint8_t>(mem.size(), 0));
+    Word out = 1;
+    ASSERT_EQ(mem.read(kPageSize + 8, 8, &out), MemResult::kOk);
+    EXPECT_EQ(out, 0u);
+}
+
+TEST(PhysMem, EveryByteChangingEntryPointClearsPristine)
+{
+    const std::vector<std::uint8_t> buf(kPageSize, 0x5a);
+    struct Case {
+        std::string name;
+        std::function<void(PhysMem&)> op;
+        std::vector<Addr> touched;
+    };
+    const std::vector<Case> cases = {
+        {"write", [](PhysMem& m) { m.write(kPageSize + 8, 8, 0x77); }, {1}},
+        {"straddling write",
+         [](PhysMem& m) { m.write(2 * kPageSize - 4, 8, ~0ULL); },
+         {1, 2}},
+        {"write_raw", [](PhysMem& m) { m.write_raw(3 * kPageSize, 2, 9); },
+         {3}},
+        {"write_block",
+         [&](PhysMem& m) { m.write_block(kPageSize - 2, buf.data(), 4); },
+         {0, 1}},
+        {"load_image",
+         [](PhysMem& m) {
+             m.load_image(isa::Image(2 * kPageSize + 16, {1, 2, 3}));
+         },
+         {2}},
+        {"restore_page", [&](PhysMem& m) { m.restore_page(3, buf.data()); },
+         {3}},
+    };
+    for (const Case& c : cases) {
+        PhysMem mem(4 * kPageSize);
+        c.op(mem);
+        for (Addr page = 0; page < mem.num_pages(); ++page) {
+            const bool touched =
+                std::find(c.touched.begin(), c.touched.end(), page) !=
+                c.touched.end();
+            EXPECT_EQ(mem.page_pristine(page), !touched)
+                << c.name << ", page " << page;
+        }
+    }
+}
+
+TEST(PhysMem, RefusedStoreLeavesThePagePristine)
+{
+    PhysMem mem(2 * kPageSize);
+    mem.set_perms(0, kPageSize, kPermRX);
+    EXPECT_EQ(mem.write(8, 8, 1), MemResult::kNoPerm);
+    EXPECT_EQ(mem.write(2 * kPageSize, 8, 1), MemResult::kOutOfRange);
+    EXPECT_TRUE(mem.page_pristine(0));
+    EXPECT_TRUE(mem.page_pristine(1));
+}
+
+TEST(PhysMem, PristineNeverReturnsEvenForAZeroedPage)
+{
+    PhysMem mem(2 * kPageSize);
+    ASSERT_EQ(mem.write(16, 8, 0x1234), MemResult::kOk);
+    ASSERT_EQ(mem.write(16, 8, 0), MemResult::kOk);  // back to all zero
+    EXPECT_FALSE(mem.page_pristine(0));
+    for (int i = 0; i < 3; ++i) {
+        mem.clear_dirty();
+        EXPECT_FALSE(mem.page_pristine(0)) << "clear_dirty #" << i;
+        EXPECT_TRUE(mem.page_pristine(1));
+    }
+    // A zero store into a pristine page still counts as a write.
+    ASSERT_EQ(mem.write(kPageSize, 8, 0), MemResult::kOk);
+    EXPECT_FALSE(mem.page_pristine(1));
+}
+
+TEST(PhysMem, ContentHashSkipsPristinePagesButMatchesEveryByte)
+{
+    PhysMem mem(5 * kPageSize);
+    EXPECT_EQ(mem.content_hash(), fnv_bytes(all_bytes(mem)));
+    mem.write_raw(kPageSize + 3, 1, 0xee);
+    mem.write(4 * kPageSize - 8, 8, 0);  // written, still all zero
+    EXPECT_EQ(mem.content_hash(), fnv_bytes(all_bytes(mem)));
+}
+
 TEST(Disk, ReadWriteBlocks)
 {
     Disk disk(4);
@@ -173,6 +283,41 @@ TEST(Disk, OutOfRangePanics)
 TEST(Disk, ZeroBlocksFails)
 {
     EXPECT_THROW(Disk(0), FatalError);
+}
+
+TEST(Disk, FreshDiskIsPristineEverywhereAndReadsZero)
+{
+    Disk disk(3);
+    std::vector<std::uint8_t> out(kDiskBlockSize, 0xff);
+    for (BlockNum block = 0; block < disk.num_blocks(); ++block) {
+        EXPECT_TRUE(disk.block_pristine(block)) << "block " << block;
+        disk.read_block(block, out.data());
+        EXPECT_EQ(out, std::vector<std::uint8_t>(kDiskBlockSize, 0));
+    }
+}
+
+TEST(Disk, WriteBlockClearsPristineForGood)
+{
+    Disk disk(3);
+    const std::vector<std::uint8_t> zero(kDiskBlockSize, 0);
+    disk.write_block(1, zero.data());  // a zero write is still a write
+    EXPECT_TRUE(disk.block_pristine(0));
+    EXPECT_FALSE(disk.block_pristine(1));
+    EXPECT_TRUE(disk.block_pristine(2));
+    disk.clear_dirty();
+    disk.clear_dirty();
+    EXPECT_FALSE(disk.block_pristine(1));
+}
+
+TEST(Disk, ContentHashSkipsPristineBlocksButMatchesEveryByte)
+{
+    Disk disk(3);
+    std::vector<std::uint8_t> block(kDiskBlockSize, 0);
+    block[100] = 7;
+    disk.write_block(2, block.data());
+    std::vector<std::uint8_t> bytes(2 * kDiskBlockSize, 0);
+    bytes.insert(bytes.end(), block.begin(), block.end());
+    EXPECT_EQ(disk.content_hash(), fnv_bytes(bytes));
 }
 
 TEST(Disk, ContentHashDetectsChanges)

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "fault/injector.h"
 #include "replay/checkpoint.h"
@@ -64,6 +65,42 @@ TEST(Crc32c, KnownAnswer)
                                    '6', '7', '8', '9'};
     EXPECT_EQ(wire::crc32c(digits, sizeof(digits)), 0xE3069283u);
     EXPECT_EQ(wire::crc32c(nullptr, 0), 0u);
+}
+
+/** Bit-at-a-time CRC32C: the definition the table code must match. */
+std::uint32_t
+reference_crc32c(const std::uint8_t* data, std::size_t len)
+{
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ ((crc & 1) ? 0x82f63b78u : 0);
+    }
+    return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32c, WordAtATimeMatchesTheBytewiseDefinition)
+{
+    // Every length through 64 (each word/tail split) plus a full page,
+    // starting at each offset within a word so loads are misaligned.
+    std::vector<std::uint8_t> buf(4096 + 16);
+    std::uint32_t x = 0x9e3779b9u;
+    for (auto& byte : buf) {
+        x = x * 1664525u + 1013904223u;
+        byte = static_cast<std::uint8_t>(x >> 24);
+    }
+    std::vector<std::size_t> lengths;
+    for (std::size_t len = 0; len <= 64; ++len)
+        lengths.push_back(len);
+    lengths.push_back(4096);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (const std::size_t len : lengths) {
+            const std::uint8_t* p = buf.data() + offset;
+            EXPECT_EQ(wire::crc32c(p, len), reference_crc32c(p, len))
+                << "offset " << offset << ", length " << len;
+        }
+    }
 }
 
 TEST(WireHeader, RoundTrip)
