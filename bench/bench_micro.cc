@@ -33,9 +33,9 @@
 #include "cpu/cpu.h"
 #include "cpu/ras.h"
 #include "isa/assembler.h"
-#include "mem/cow_store.h"
 #include "mem/phys_mem.h"
 #include "replay/checkpoint.h"
+#include "replay/ckpt_store/page_pool.h"
 #include "rnr/log_record.h"
 #include "rnr/replayer.h"
 #include "workloads/benchmarks.h"
@@ -189,10 +189,18 @@ BENCHMARK(BM_LogRecordSerialize);
 void
 BM_CheckpointPageCopy(benchmark::State& state)
 {
-    mem::CowStore store;
-    std::vector<std::uint8_t> page(kPageSize, 0x5a);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(store.store(page.data()));
+    // A dirty page as a checkpoint take sees it: incompressible content,
+    // and one byte changed per iteration so every intern misses the pool
+    // and pays copy + hash + insert.
+    replay::ckpt::PagePool pool;
+    std::vector<std::uint8_t> page(kPageSize);
+    for (std::size_t i = 0; i < page.size(); ++i)
+        page[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    std::uint8_t tick = 0;
+    for (auto _ : state) {
+        page[0] = ++tick;
+        benchmark::DoNotOptimize(pool.intern(page.data()));
+    }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * kPageSize));
 }

@@ -116,8 +116,10 @@ serial_latency(const PipelineRun& run)
 /**
  * Concurrent simulated latency: record and CR overlap (the CR replays the
  * streamed log on the fly), then the alarm replays run on @p workers
- * workers, each claiming the next alarm in log order as it frees up —
- * the same greedy schedule run_alarm_pool() produces.
+ * workers, each taking the next alarm in log order as it frees up —
+ * the greedy schedule the framework's one-tenant WorkStealingPool
+ * produces (its in-flight cap equals its worker count, so alarms are
+ * admitted in log order as slots free).
  */
 Cycles
 concurrent_latency(const PipelineRun& run, std::size_t workers)
@@ -474,7 +476,7 @@ main(int argc, char** argv)
     // pool from 2 to 4 workers must never lengthen the deterministic
     // alarm-replay makespan (the claim path once regressed exactly here:
     // doubled workers, longer wall time). The sim figure is the honest
-    // one on small hosts; the batched claim counter keeps the real pool's
+    // one on small hosts; the pool's in-order admission keeps the real
     // schedule matching it.
     for (const auto& report : reports) {
         if (report.name != "attack-mix")

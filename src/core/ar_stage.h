@@ -21,8 +21,8 @@
  * verdict: the VM factory, the base replay options, and the active
  * detector complement. It is stateless across calls (every analyze()
  * builds fresh VMs), so a single instance is safely shared by any number
- * of worker threads — the framework's private pool and the fleet's
- * shared work-stealing pool both call the same code.
+ * of worker threads — the framework's one-tenant pool and the fleet's
+ * shared one are both a fleet::WorkStealingPool calling this code.
  *
  * Two log access shapes:
  *  - a finished InputLog (the framework path: alarm replays run after

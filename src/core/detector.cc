@@ -1,6 +1,7 @@
 #include "core/detector.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/log.h"
@@ -81,6 +82,16 @@ DetectorSet::find(DetectorId id) const
             return detector.get();
     }
     return nullptr;
+}
+
+const DetectorSet*
+active_detector_set(const std::shared_ptr<DetectorSet>& configured)
+{
+    if (!configured || configured->empty())
+        return nullptr;
+    if (std::getenv("RSAFE_NO_DETECTORS") != nullptr)
+        return nullptr;  // runtime kill-switch: RAS-only baseline
+    return configured.get();
 }
 
 // ---------------------------------------------------------------------------

@@ -140,6 +140,14 @@ class DetectorSet {
 };
 
 /**
+ * The detector set a run puts in effect: @p configured, unless it is
+ * null or empty or the RSAFE_NO_DETECTORS kill-switch is set (the
+ * RAS-only baseline, null). The one place that switch is read.
+ */
+const DetectorSet* active_detector_set(
+    const std::shared_ptr<DetectorSet>& configured);
+
+/**
  * The paper's RAS detector on the framework interface. Its hardware is
  * the RAS itself (armed through RecorderOptions, not arm(): alarms
  * arrive as kRasAlarm records via the dedicated CPU machinery), so this

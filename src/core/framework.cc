@@ -1,14 +1,11 @@
 #include "core/framework.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <exception>
 #include <string>
-#include <thread>
 
 #include "common/log.h"
 #include "cpu/tb_engine.h"
+#include "fleet/work_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "rnr/log_source.h"
@@ -33,44 +30,15 @@ struct HealthPlane {
 
     void begin(const FrameworkConfig& config, SessionStage* stage)
     {
-        on = config.health.enabled &&
-             std::getenv("RSAFE_NO_HEALTH") == nullptr;
+        on = obs::health_enabled(config.health);
         if (!on)
             return;
         stage->set_health_probe(&probe);
         monitor = std::make_unique<obs::HealthMonitor>(config.health);
-        obs::HealthProbe* probe_ptr = &probe;
-        monitor->add_tenant("pipeline", [probe_ptr, stage] {
-            obs::HealthSample sample;
-            sample.set(obs::HealthSignal::kReplayLag,
-                       probe_ptr->replay_lag.load(
-                           std::memory_order_relaxed));
-            sample.set(obs::HealthSignal::kQueueDepth,
-                       probe_ptr->queue_depth());
-            sample.set(obs::HealthSignal::kVerdictLatency,
-                       probe_ptr->verdict_cycles_peak.exchange(
-                           0, std::memory_order_relaxed));
-            sample.set(obs::HealthSignal::kChannelBackpressure,
-                       stage->live_channel_stats().producer_waits);
-            const std::uint64_t budget =
-                probe_ptr->ckpt_budget_bytes.load(
-                    std::memory_order_relaxed);
-            const std::uint64_t live = probe_ptr->ckpt_live_bytes.load(
-                std::memory_order_relaxed);
-            sample.set(obs::HealthSignal::kCkptOccupancy,
-                       budget != 0 ? live * 100 / budget : 0);
-            // No shared pool in solo mode; starvation stays zero.
-            return sample;
-        });
-        obs::FlightRecorder* flight_ptr = &flight;
-        monitor->add_listener([flight_ptr](const obs::HealthEvent& event) {
-            flight_ptr->record(obs::FlightEntryKind::kTransition,
-                               event.tenant,
-                               obs::health_signal_name(event.signal),
-                               event.value, event.to_string());
-            if (event.to == obs::HealthState::kCritical)
-                flight_ptr->dump("slo-breach:" + event.tenant);
-        });
+        // No pool while the session runs; starvation stays zero.
+        monitor->add_tenant("pipeline",
+                            [stage] { return stage->sample_health(); });
+        obs::record_transitions(monitor.get(), &flight);
         monitor->start();
         telemetry = std::make_unique<obs::TelemetryServer>(
             config.telemetry,
@@ -107,6 +75,46 @@ struct HealthPlane {
     }
 };
 
+/**
+ * Replay every pending alarm on @p workers threads and return the
+ * results in alarm order. One worker runs them in order on the calling
+ * thread — the serial reference the A/B gates compare against. More
+ * run as jobs of a one-tenant WorkStealingPool, each into its own
+ * registry; the registries merge into @p stats_out in alarm order
+ * after drain(), which rethrows the first job's exception, if any.
+ */
+std::vector<AlarmReplayResult>
+replay_alarms(const ArStage& stage,
+              const std::vector<replay::PendingAlarm>& pending,
+              const rnr::InputLog* log, std::size_t workers,
+              obs::HealthProbe* probe, stats::StatRegistry* stats_out)
+{
+    std::vector<AlarmReplayResult> results(pending.size());
+    const auto replay_one = [&](std::size_t i, stats::StatRegistry* stats) {
+        results[i] = stage.analyze(pending[i], log, stats);
+        if (probe != nullptr)
+            probe->note_verdict(results[i].analysis.analysis_cycles);
+    };
+    workers = std::min(workers, pending.size());
+    if (workers <= 1) {
+        for (std::size_t i = 0; i < pending.size(); ++i)
+            replay_one(i, stats_out);
+        return results;
+    }
+
+    obs::ScopedSpan span("ar.pool", "ar");
+    std::vector<stats::StatRegistry> job_stats(pending.size());
+    fleet::WorkStealingPool pool({/*workers=*/workers,
+                                  /*tenant_inflight_cap=*/workers});
+    const std::size_t tenant = pool.register_tenant("pipeline");
+    for (std::size_t i = 0; i < pending.size(); ++i)
+        pool.submit(tenant, [&, i] { replay_one(i, &job_stats[i]); });
+    pool.drain();
+    for (const auto& js : job_stats)
+        stats_out->merge(js);
+    return results;
+}
+
 }  // namespace
 
 RnrSafeFramework::RnrSafeFramework(VmFactory factory, FrameworkConfig config)
@@ -116,45 +124,22 @@ RnrSafeFramework::RnrSafeFramework(VmFactory factory, FrameworkConfig config)
         fatal("RnrSafeFramework: null VM factory");
 }
 
-FrameworkResult
-RnrSafeFramework::run()
-{
-    switch (config_.pipeline) {
-      case PipelineMode::kSerial:
-        return run_serial();
-      case PipelineMode::kConcurrent:
-        return run_concurrent();
-    }
-    panic("RnrSafeFramework: bad pipeline mode");
-}
-
 SessionOptions
-RnrSafeFramework::session_options(bool streamed) const
+session_options(const FrameworkConfig& config, std::string name)
 {
     SessionOptions options;
-    options.recorder = config_.recorder;
-    options.cr = config_.cr;
-    options.max_instructions = config_.max_instructions;
-    options.channel = config_.channel;
-    options.streamed = streamed;
+    options.recorder = config.recorder;
+    options.cr = config.cr;
+    options.max_instructions = config.max_instructions;
+    options.channel = config.channel;
+    options.streamed = config.pipeline == PipelineMode::kConcurrent;
+    options.name = std::move(name);
     return options;
 }
 
 void
-RnrSafeFramework::install_detectors(FrameworkResult* result)
-{
-    active_detectors_ = nullptr;
-    if (!config_.detectors || config_.detectors->empty())
-        return;
-    if (std::getenv("RSAFE_NO_DETECTORS") != nullptr)
-        return;  // runtime kill-switch: RAS-only baseline
-    result->detectors = config_.detectors;
-    active_detectors_ = config_.detectors.get();
-}
-
-void
-RnrSafeFramework::adopt_session(FrameworkResult* result, SessionStage* stage,
-                                const SessionResult& session)
+adopt_session(FrameworkResult* result, SessionStage* stage,
+              const SessionResult& session, const FrameworkConfig& config)
 {
     result->record_result = session.record_result;
     result->cr_outcome = session.cr_outcome;
@@ -163,88 +148,11 @@ RnrSafeFramework::adopt_session(FrameworkResult* result, SessionStage* stage,
     result->underflows_resolved = stage->cr()->underflows_resolved();
     result->replay_lag = stage->cr()->lag();
     if (stage->active_detectors() != nullptr)
-        result->detectors = config_.detectors;
-    active_detectors_ = stage->active_detectors();
+        result->detectors = config.detectors;
     result->recorded_vm = stage->release_recorded_vm();
     result->recorder = stage->release_recorder();
     result->cr_vm = stage->release_cr_vm();
     result->cr = stage->release_cr();
-}
-
-std::vector<AlarmReplayResult>
-RnrSafeFramework::run_alarm_pool(
-    const std::vector<replay::PendingAlarm>& pending,
-    const rnr::InputLog* log, stats::StatRegistry* stats_out)
-{
-    std::vector<AlarmReplayResult> results(pending.size());
-    if (pending.empty())
-        return results;
-
-    const ArStage stage(factory_, config_.cr.replay, active_detectors_);
-
-    std::size_t workers = config_.ar_workers == 0 ? 1 : config_.ar_workers;
-    if (workers > pending.size())
-        workers = pending.size();
-
-    if (workers == 1) {
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-            results[i] = stage.analyze(pending[i], log, stats_out);
-            if (live_probe_ != nullptr)
-                live_probe_->note_verdict(
-                    results[i].analysis.analysis_cycles);
-        }
-        return results;
-    }
-
-    // Each worker claims a batch of alarm indices from a shared counter
-    // and writes into its own result slots and its own stats registry:
-    // no shared mutation on the hot path, deterministic merge order at
-    // join. Batching the claims (K indices per fetch_add) keeps the
-    // counter cache line from ping-ponging when many short alarm replays
-    // meet many workers — the 2->4 worker wall-clock regression path.
-    // The batch is 1 until there are >= 8 alarms per worker, so small
-    // runs keep the exact claim order the scheduling model mirrors.
-    const std::size_t batch = std::clamp<std::size_t>(
-        pending.size() / (workers * 8), 1, 8);
-    std::atomic<std::size_t> next{0};
-    std::vector<stats::StatRegistry> worker_stats(workers);
-    std::vector<std::exception_ptr> worker_errors(workers);
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        threads.emplace_back([&, w] {
-            try {
-                if (obs::Tracer::instance().enabled())
-                    obs::Tracer::instance().attach_thread("ar-worker");
-                while (true) {
-                    const std::size_t begin =
-                        next.fetch_add(batch, std::memory_order_relaxed);
-                    if (begin >= pending.size())
-                        break;
-                    const std::size_t end =
-                        std::min(begin + batch, pending.size());
-                    for (std::size_t i = begin; i < end; ++i) {
-                        results[i] =
-                            stage.analyze(pending[i], log,
-                                          &worker_stats[w]);
-                        if (live_probe_ != nullptr)
-                            live_probe_->note_verdict(
-                                results[i].analysis.analysis_cycles);
-                    }
-                }
-            } catch (...) {
-                worker_errors[w] = std::current_exception();
-            }
-        });
-    }
-    for (auto& thread : threads)
-        thread.join();
-    for (const auto& error : worker_errors)
-        if (error)
-            std::rethrow_exception(error);
-    for (const auto& ws : worker_stats)
-        stats_out->merge(ws);
-    return results;
 }
 
 void
@@ -383,7 +291,9 @@ RnrSafeFramework::replay_wire(const std::vector<std::uint8_t>& bytes)
     // No recording stage here, so there is nothing to arm — but the
     // shipped log may carry kDetectorAlarm records, and the configured
     // detector set supplies their classifiers.
-    install_detectors(&result);
+    const DetectorSet* detectors = active_detector_set(config_.detectors);
+    if (detectors != nullptr)
+        result.detectors = config_.detectors;
 
     // Checkpointing replay over the recovered prefix. The CR stops at the
     // corruption boundary (the log simply ends there) instead of the
@@ -399,18 +309,12 @@ RnrSafeFramework::replay_wire(const std::vector<std::uint8_t>& bytes)
     result.replay_lag = result.cr->lag();
 
     // Alarm replays, scheduled per the configured pipeline mode.
-    std::vector<AlarmReplayResult> ar_results;
-    if (config_.pipeline == PipelineMode::kSerial) {
-        const ArStage ar_stage(factory_, config_.cr.replay,
-                               active_detectors_);
-        ar_results.reserve(result.cr->pending_alarms().size());
-        for (const auto& pending : result.cr->pending_alarms())
-            ar_results.push_back(
-                ar_stage.analyze(pending, &log, &result.pipeline_stats));
-    } else {
-        ar_results = run_alarm_pool(result.cr->pending_alarms(), &log,
-                                    &result.pipeline_stats);
-    }
+    const ArStage ar_stage(factory_, config_.cr.replay, detectors);
+    const std::size_t workers =
+        config_.pipeline == PipelineMode::kSerial ? 1 : config_.ar_workers;
+    auto ar_results =
+        replay_alarms(ar_stage, result.cr->pending_alarms(), &log, workers,
+                      /*probe=*/nullptr, &result.pipeline_stats);
     finalize_result(&result, std::move(ar_results));
 
     if (!result.log_integrity.intact()) {
@@ -429,71 +333,37 @@ RnrSafeFramework::replay_wire(const std::vector<std::uint8_t>& bytes)
 }
 
 FrameworkResult
-RnrSafeFramework::run_serial()
+RnrSafeFramework::run()
 {
+    const bool streamed = config_.pipeline == PipelineMode::kConcurrent;
     FrameworkResult result;
     auto& tracer = obs::Tracer::instance();
     if (tracer.enabled())
         tracer.attach_thread("pipeline");
-    obs::ScopedSpan pipeline_span("pipeline.serial", "pipeline");
+    obs::ScopedSpan pipeline_span(
+        streamed ? "pipeline.concurrent" : "pipeline.serial", "pipeline");
 
-    // 1+2. The session stage: monitored recording, then checkpointing
-    // replay, back to back on this thread.
-    SessionStage stage(factory_, session_options(/*streamed=*/false),
-                       config_.detectors);
+    // 1+2. The session stage: monitored recording and checkpointing
+    // replay. Streamed, the recorder feeds the CR through the bounded
+    // channel while it runs (Figure 1's arrow is a live queue, not a
+    // file handed over after the fact); serial, they run back to back
+    // on this thread.
+    SessionStage stage(factory_, session_options(config_), config_.detectors);
     HealthPlane plane;
     plane.begin(config_, &stage);
-    live_probe_ = plane.on ? &plane.probe : nullptr;
     const SessionResult session = stage.run();
-    adopt_session(&result, &stage, session);
+    adopt_session(&result, &stage, session, config_);
 
-    // 3. Alarm replays, one per unresolved alarm, in alarm order.
-    const rnr::InputLog& log = result.recorder->log();
-    const ArStage ar_stage(factory_, config_.cr.replay, active_detectors_);
-    std::vector<AlarmReplayResult> ar_results;
-    ar_results.reserve(result.cr->pending_alarms().size());
-    for (const auto& pending : result.cr->pending_alarms()) {
-        ar_results.push_back(
-            ar_stage.analyze(pending, &log, &result.pipeline_stats));
-        if (live_probe_ != nullptr)
-            live_probe_->note_verdict(
-                ar_results.back().analysis.analysis_cycles);
-    }
-    finalize_result(&result, std::move(ar_results));
-    plane.finish(&result);
-    live_probe_ = nullptr;
-    return result;
-}
-
-FrameworkResult
-RnrSafeFramework::run_concurrent()
-{
-    FrameworkResult result;
-    auto& tracer = obs::Tracer::instance();
-    if (tracer.enabled())
-        tracer.attach_thread("pipeline");
-    obs::ScopedSpan pipeline_span("pipeline.concurrent", "pipeline");
-
-    // 1+2 concurrently: the recorder streams the log through the bounded
-    // channel; the CR consumes it on the fly (Figure 1's arrow is a live
-    // queue, not a file handed over after the fact).
-    SessionStage stage(factory_, session_options(/*streamed=*/true),
-                       config_.detectors);
-    HealthPlane plane;
-    plane.begin(config_, &stage);
-    live_probe_ = plane.on ? &plane.probe : nullptr;
-    const SessionResult session = stage.run();
-    adopt_session(&result, &stage, session);
-
-    // 3. Alarm replays across the worker pool. Each AR is independent
+    // 3. Alarm replays, one per unresolved alarm. Each AR is independent
     // given its originating checkpoint; results merge in alarm order.
-    const rnr::InputLog& log = result.recorder->log();
-    obs::ScopedSpan ar_span("ar.pool", "ar");
-    auto ar_results = run_alarm_pool(result.cr->pending_alarms(), &log,
-                                     &result.pipeline_stats);
+    const ArStage ar_stage(factory_, config_.cr.replay,
+                           stage.active_detectors());
+    const std::size_t workers = streamed ? config_.ar_workers : 1;
+    auto ar_results = replay_alarms(
+        ar_stage, result.cr->pending_alarms(), &result.recorder->log(),
+        workers, plane.on ? &plane.probe : nullptr, &result.pipeline_stats);
     finalize_result(&result, std::move(ar_results));
     plane.finish(&result);
-    live_probe_ = nullptr;
     return result;
 }
 

@@ -43,8 +43,9 @@
  *    streams the log through a bounded LogChannel to the CR, which runs
  *    on its own thread *while recording is still in progress* (replay
  *    lag, not a post-hoc batch pass, bounds detection latency), and the
- *    pending alarms then fan out across a small worker pool of alarm
- *    replayers. Results are merged back in alarm order, so both shapes
+ *    pending alarms then fan out across a one-tenant
+ *    fleet::WorkStealingPool — the same pool a ReplayFleet shares among
+ *    its tenants. Results are merged back in alarm order, so both shapes
  *    produce bit-identical outcomes.
  *
  * The caller supplies a VmFactory that builds identically-configured VMs
@@ -166,6 +167,24 @@ struct FrameworkResult {
 void finalize_result(FrameworkResult* result,
                      std::vector<AlarmReplayResult> ar_results);
 
+/**
+ * The session-stage half of @p config: streamed iff the pipeline is
+ * kConcurrent. @p name prefixes the stage's trace tracks (a fleet
+ * tenant's name; empty for the solo pipeline).
+ */
+SessionOptions session_options(const FrameworkConfig& config,
+                               std::string name = {});
+
+/**
+ * Move @p stage's components and @p session's outputs into @p result.
+ * @p config is the run's configuration: its detector set is kept alive
+ * in the result when the stage armed it. Shared by the framework and
+ * the fleet, so both adopt a session identically.
+ */
+void adopt_session(FrameworkResult* result, SessionStage* stage,
+                   const SessionResult& session,
+                   const FrameworkConfig& config);
+
 /** The RnR-Safe pipeline. */
 class RnrSafeFramework {
   public:
@@ -186,39 +205,8 @@ class RnrSafeFramework {
     FrameworkResult replay_wire(const std::vector<std::uint8_t>& bytes);
 
   private:
-    FrameworkResult run_serial();
-    FrameworkResult run_concurrent();
-
-    /** Build the session-stage half of config_ (streamed or not). */
-    SessionOptions session_options(bool streamed) const;
-
-    /** Move the stage's components + outputs into @p result. */
-    void adopt_session(FrameworkResult* result, SessionStage* stage,
-                       const SessionResult& session);
-
-    /** Fan pending alarms across workers; results land in alarm order. */
-    std::vector<AlarmReplayResult> run_alarm_pool(
-        const std::vector<replay::PendingAlarm>& pending,
-        const rnr::InputLog* log, stats::StatRegistry* stats_out);
-
-    /**
-     * Resolve the kill-switch: record the configured detector set in
-     * @p result and set active_detectors_ for the alarm-replay stage
-     * (replay_wire has no recording stage to arm, SessionStage arms the
-     * run() paths itself).
-     */
-    void install_detectors(FrameworkResult* result);
-
     VmFactory factory_;
     FrameworkConfig config_;
-
-    /** The in-effect detector set for the current run (kill-switch
-     *  applied); read-only while the AR worker pool executes. */
-    const DetectorSet* active_detectors_ = nullptr;
-
-    /** Live probe of the current run's health plane (null when off);
-     *  AR workers publish verdict completions through it. */
-    obs::HealthProbe* live_probe_ = nullptr;
 };
 
 }  // namespace rsafe::core

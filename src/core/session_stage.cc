@@ -1,12 +1,12 @@
 #include "core/session_stage.h"
 
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 
 #include "common/log.h"
 #include "core/detector.h"
+#include "obs/health_probe.h"
 #include "obs/trace.h"
 
 namespace rsafe::core {
@@ -23,10 +23,9 @@ SessionStage::SessionStage(VmFactory factory, SessionOptions options,
     recorder_ = std::make_unique<rnr::Recorder>(recorded_vm_.get(),
                                                 options_.recorder);
 
-    if (detectors_ && !detectors_->empty() &&
-        std::getenv("RSAFE_NO_DETECTORS") == nullptr) {
-        active_detectors_ = detectors_.get();
-        for (const auto& detector : detectors_->all())
+    active_detectors_ = active_detector_set(detectors_);
+    if (active_detectors_ != nullptr) {
+        for (const auto& detector : active_detectors_->all())
             detector->arm(*recorded_vm_);
         recorder_->set_detectors(active_detectors_);
         detectors_armed_ = true;
@@ -72,6 +71,28 @@ rnr::ChannelStats
 SessionStage::live_channel_stats() const
 {
     return channel_ ? channel_->stats() : rnr::ChannelStats();
+}
+
+obs::HealthSample
+SessionStage::sample_health() const
+{
+    obs::HealthProbe& probe = *health_probe_;
+    obs::HealthSample sample;
+    sample.set(obs::HealthSignal::kReplayLag,
+               probe.replay_lag.load(std::memory_order_relaxed));
+    sample.set(obs::HealthSignal::kQueueDepth, probe.queue_depth());
+    sample.set(obs::HealthSignal::kVerdictLatency,
+               probe.verdict_cycles_peak.exchange(
+                   0, std::memory_order_relaxed));
+    sample.set(obs::HealthSignal::kChannelBackpressure,
+               live_channel_stats().producer_waits);
+    const std::uint64_t budget =
+        probe.ckpt_budget_bytes.load(std::memory_order_relaxed);
+    const std::uint64_t live =
+        probe.ckpt_live_bytes.load(std::memory_order_relaxed);
+    sample.set(obs::HealthSignal::kCkptOccupancy,
+               budget != 0 ? live * 100 / budget : 0);
+    return sample;
 }
 
 void

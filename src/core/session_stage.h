@@ -8,6 +8,7 @@
 
 #include "core/ar_stage.h"
 #include "hv/vm.h"
+#include "obs/health.h"
 #include "replay/checkpoint_replayer.h"
 #include "rnr/log_channel.h"
 #include "rnr/log_source.h"
@@ -29,8 +30,9 @@
  * as the CR reaches it, packaged with an owned copy of the log records
  * between the originating checkpoint and the alarm — a self-contained
  * job any alarm-replay worker can execute without touching this
- * session's log. RnrSafeFramework runs one stage and feeds its own AR
- * pool; ReplayFleet runs N stages over one shared work-stealing pool.
+ * session's log. RnrSafeFramework runs one stage and replays its alarms
+ * once the session is over; ReplayFleet runs N stages and submits their
+ * jobs to one shared work-stealing pool while they run.
  */
 
 namespace rsafe::core {
@@ -123,6 +125,14 @@ class SessionStage {
      * so the health monitor may call this mid-run.
      */
     rnr::ChannelStats live_channel_stats() const;
+
+    /**
+     * One health-monitor reading of this session: the attached probe's
+     * signals plus channel backpressure. kPoolStarvation stays zero (the
+     * session owns no pool). Requires set_health_probe(); safe from the
+     * monitor thread mid-run.
+     */
+    obs::HealthSample sample_health() const;
 
     /** Component access (valid until the matching release_*()). @{ */
     hv::Vm* recorded_vm() { return recorded_vm_.get(); }

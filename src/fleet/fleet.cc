@@ -1,6 +1,5 @@
 #include "fleet/fleet.h"
 
-#include <cstdlib>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -23,6 +22,7 @@ namespace rsafe::fleet {
  */
 struct ReplayFleet::TenantState {
     std::string name;
+    const core::FrameworkConfig* config = nullptr;
     std::size_t pool_id = 0;
     std::unique_ptr<core::SessionStage> stage;
     std::unique_ptr<core::ArStage> ar;
@@ -67,17 +67,6 @@ ReplayFleet::ReplayFleet(std::vector<FleetTenant> tenants,
     }
 }
 
-FleetResult
-ReplayFleet::run()
-{
-    if (ran_)
-        fatal("ReplayFleet: run() called twice");
-    ran_ = true;
-    if (std::getenv("RSAFE_NO_FLEET") != nullptr)
-        return run_fallback();
-    return run_fleet();
-}
-
 void
 ReplayFleet::shutdown(ShutdownMode mode)
 {
@@ -95,8 +84,11 @@ ReplayFleet::shutdown(ShutdownMode mode)
 }
 
 FleetResult
-ReplayFleet::run_fleet()
+ReplayFleet::run()
 {
+    if (ran_)
+        fatal("ReplayFleet: run() called twice");
+    ran_ = true;
     FleetResult out;
 
     // The health plane. Declaration order is lifetime order in reverse:
@@ -104,8 +96,7 @@ ReplayFleet::run_fleet()
     // it), the monitor and the endpoint follow it (their samplers and
     // providers read the pool and the stages, so they must be torn down
     // first).
-    const bool health_on = options_.health.enabled &&
-                           std::getenv("RSAFE_NO_HEALTH") == nullptr;
+    const bool health_on = obs::health_enabled(options_.health);
     obs::FlightRecorder flight;
 
     // States must outlive the pool (job closures hold raw TenantState
@@ -123,18 +114,11 @@ ReplayFleet::run_fleet()
     for (const FleetTenant& tenant : tenants_) {
         auto state = std::make_unique<TenantState>();
         state->name = tenant.name;
+        state->config = &tenant.config;
         state->pool_id = pool.register_tenant(tenant.name);
-
-        core::SessionOptions session;
-        session.recorder = tenant.config.recorder;
-        session.cr = tenant.config.cr;
-        session.max_instructions = tenant.config.max_instructions;
-        session.channel = tenant.config.channel;
-        session.streamed =
-            tenant.config.pipeline == core::PipelineMode::kConcurrent;
-        session.name = tenant.name;
         state->stage = std::make_unique<core::SessionStage>(
-            tenant.factory, std::move(session), tenant.config.detectors);
+            tenant.factory, core::session_options(tenant.config, tenant.name),
+            tenant.config.detectors);
         state->ar = std::make_unique<core::ArStage>(
             tenant.factory, tenant.config.cr.replay,
             state->stage->active_detectors());
@@ -211,25 +195,7 @@ ReplayFleet::run_fleet()
             // locked stats are the only live state it touches.
             state->stage->set_health_probe(&raw->probe);
             monitor.add_tenant(raw->name, [raw, pool_ptr] {
-                obs::HealthSample sample;
-                sample.set(obs::HealthSignal::kReplayLag,
-                           raw->probe.replay_lag.load(
-                               std::memory_order_relaxed));
-                sample.set(obs::HealthSignal::kQueueDepth,
-                           raw->probe.queue_depth());
-                sample.set(obs::HealthSignal::kVerdictLatency,
-                           raw->probe.verdict_cycles_peak.exchange(
-                               0, std::memory_order_relaxed));
-                sample.set(obs::HealthSignal::kChannelBackpressure,
-                           raw->stage->live_channel_stats().producer_waits);
-                const std::uint64_t budget =
-                    raw->probe.ckpt_budget_bytes.load(
-                        std::memory_order_relaxed);
-                const std::uint64_t live =
-                    raw->probe.ckpt_live_bytes.load(
-                        std::memory_order_relaxed);
-                sample.set(obs::HealthSignal::kCkptOccupancy,
-                           budget != 0 ? live * 100 / budget : 0);
+                obs::HealthSample sample = raw->stage->sample_health();
                 sample.set(obs::HealthSignal::kPoolStarvation,
                            pool_ptr->stats().starved_waits);
                 return sample;
@@ -247,14 +213,7 @@ ReplayFleet::run_fleet()
         });
     if (health_on) {
         obs::FlightRecorder* flight_ptr = &flight;
-        monitor.add_listener([flight_ptr](const obs::HealthEvent& event) {
-            flight_ptr->record(obs::FlightEntryKind::kTransition,
-                               event.tenant,
-                               obs::health_signal_name(event.signal),
-                               event.value, event.to_string());
-            if (event.to == obs::HealthState::kCritical)
-                flight_ptr->dump("slo-breach:" + event.tenant);
-        });
+        obs::record_transitions(&monitor, flight_ptr);
         monitor.add_sample_listener(
             [flight_ptr](const std::string& tenant,
                          const obs::HealthSample& sample) {
@@ -308,16 +267,23 @@ ReplayFleet::run_fleet()
     for (auto& session : sessions)
         session.join();
 
-    // Sessions are done; finish (or discard) the alarm jobs.
+    // Sessions are done; finish (or discard) the alarm jobs. drain()
+    // returns at once after abandon(), and either way rethrows the first
+    // exception an alarm job threw: like a session error, it is rethrown
+    // once the run is torn down.
     bool abandon;
     {
         std::lock_guard<std::mutex> lock(mu_);
         abandon = abandon_requested_;
     }
-    if (abandon)
-        pool.abandon();
-    else
+    std::exception_ptr job_error;
+    try {
+        if (abandon)
+            pool.abandon();
         pool.drain();
+    } catch (...) {
+        job_error = std::current_exception();
+    }
     out.pool = pool.stats();
     out.tenant_pool = pool.tenant_stats();
 
@@ -355,29 +321,18 @@ ReplayFleet::run_fleet()
     telemetry.stop();
 
     for (auto& state : states)
-        if (state->error) {
-            pool.abandon();
+        if (state->error)
             std::rethrow_exception(state->error);
-        }
+    if (job_error)
+        std::rethrow_exception(job_error);
 
     for (auto& state : states) {
         TenantRunResult tenant;
         tenant.name = state->name;
         core::FrameworkResult& fr = tenant.result;
 
-        // Adopt the session outputs exactly as the framework does.
-        fr.record_result = state->session.record_result;
-        fr.cr_outcome = state->session.cr_outcome;
-        fr.alarms_logged = state->session.alarms_logged;
-        fr.channel_stats = state->session.channel_stats;
-        fr.underflows_resolved = state->stage->cr()->underflows_resolved();
-        fr.replay_lag = state->stage->cr()->lag();
-        if (state->stage->active_detectors() != nullptr)
-            fr.detectors = config_for(state->name).detectors;
-        fr.recorded_vm = state->stage->release_recorded_vm();
-        fr.recorder = state->stage->release_recorder();
-        fr.cr_vm = state->stage->release_cr_vm();
-        fr.cr = state->stage->release_cr();
+        core::adopt_session(&fr, state->stage.get(), state->session,
+                            *state->config);
 
         // Completed jobs in submission (= alarm) order; discarded jobs
         // leave holes that mark the tenant partial.
@@ -410,34 +365,6 @@ ReplayFleet::run_fleet()
         out.telemetry_port = telemetry.port();
     }
     return out;
-}
-
-FleetResult
-ReplayFleet::run_fallback()
-{
-    // RSAFE_NO_FLEET: the pre-fleet world, one private framework per
-    // tenant, run sequentially. The A/B gate — a fleet of one tenant
-    // must equal this path bit for bit — keeps the fleet honest.
-    FleetResult out;
-    out.used_fallback = true;
-    for (const FleetTenant& tenant : tenants_) {
-        core::RnrSafeFramework framework(tenant.factory, tenant.config);
-        TenantRunResult result;
-        result.name = tenant.name;
-        result.result = framework.run();
-        out.tenants.push_back(std::move(result));
-    }
-    collect_metrics(&out);
-    return out;
-}
-
-const core::FrameworkConfig&
-ReplayFleet::config_for(const std::string& name) const
-{
-    for (const FleetTenant& tenant : tenants_)
-        if (tenant.name == name)
-            return tenant.config;
-    panic("ReplayFleet: unknown tenant '" + name + "'");
 }
 
 void

@@ -17,15 +17,16 @@
  * @file
  * ReplayFleet: N concurrent guest sessions over one shared AR pool.
  *
- * The single RnrSafeFramework spins up a private alarm-replay worker pool
- * per run; deploy six monitored guests that way and the host runs six
- * pools' worth of threads, most of them idle. The fleet inverts that:
+ * Six RnrSafeFramework runs side by side would each size a pool for
+ * their own alarm replays once their session ends; the host would run
+ * six pools' worth of threads, most of them idle. The fleet shares one:
  * each tenant is a SessionStage (recorder + checkpointing replayer on
  * its own threads) that *submits* self-contained alarm-replay jobs — a
  * PendingAlarm plus an owned [checkpoint, alarm] log slice — to one
- * WorkStealingPool sized once for the whole machine. Fair-share
- * admission keeps an alarm storm in one tenant from starving the rest;
- * work stealing keeps the workers busy when alarms arrive unevenly.
+ * WorkStealingPool sized once for the whole machine, while the session
+ * is still running. Fair-share admission keeps an alarm storm in one
+ * tenant from starving the rest; work stealing keeps the workers busy
+ * when alarms arrive unevenly.
  *
  * Determinism is preserved per tenant: jobs execute in any order on any
  * worker, but results are slotted by submission sequence (= alarm order,
@@ -33,8 +34,8 @@
  * commutatively, and finalize_result() is the same fold the framework
  * uses — so a fleet tenant's verdicts, counters, and state digests are
  * bit-identical to the same workload run through RnrSafeFramework alone.
- * The RSAFE_NO_FLEET environment kill-switch makes run() literally do
- * that: each tenant runs through a private framework, sequentially.
+ * The session options and the adoption of a session's outputs are the
+ * framework's own functions (core::session_options, core::adopt_session).
  *
  * Shutdown is two-mode (shutdown(), callable from any thread):
  * kDrain stops the sessions but lets every submitted alarm job finish;
@@ -115,7 +116,7 @@ struct TenantRunResult {
 /** Everything a fleet run produced. */
 struct FleetResult {
     std::vector<TenantRunResult> tenants;
-    /** Shared-pool scheduling counters (zero in fallback mode). */
+    /** Shared-pool scheduling counters. */
     PoolStats pool;
     std::vector<TenantPoolStats> tenant_pool;
     /**
@@ -125,9 +126,6 @@ struct FleetResult {
      * Feed it to obs::MetricsExporter for JSON/Prometheus.
      */
     stats::StatRegistry metrics;
-    /** True if RSAFE_NO_FLEET routed this run through per-tenant
-     *  frameworks instead of the shared pool. */
-    bool used_fallback = false;
 
     /** Health-plane outputs (empty when the plane was off). @{ */
     std::string healthz;  ///< final /healthz JSON document
@@ -143,7 +141,8 @@ class ReplayFleet {
     ReplayFleet(std::vector<FleetTenant> tenants, FleetOptions options = {});
 
     /** Run every tenant to completion (or until shutdown()). Blocking;
-     *  call at most once. */
+     *  call at most once. An exception from a session or an alarm job
+     *  is rethrown once the run is torn down. */
     FleetResult run();
 
     /**
@@ -155,12 +154,6 @@ class ReplayFleet {
 
   private:
     struct TenantState;
-
-    FleetResult run_fleet();
-    FleetResult run_fallback();
-
-    /** The configuration of the tenant named @p name. */
-    const core::FrameworkConfig& config_for(const std::string& name) const;
 
     /** Fold per-tenant registries + pool stats into result->metrics. */
     static void collect_metrics(FleetResult* result);

@@ -183,9 +183,11 @@ WorkStealingPool::steal(std::size_t w, QueuedJob* out)
 }
 
 void
-WorkStealingPool::complete(const QueuedJob& job)
+WorkStealingPool::complete(const QueuedJob& job, std::exception_ptr error)
 {
     std::lock_guard<std::mutex> lock(mu_);
+    if (error && !first_error_)
+        first_error_ = std::move(error);
     Tenant& t = tenants_[job.tenant];
     ++t.stats.executed;
     ++stats_.executed;
@@ -215,8 +217,13 @@ WorkStealingPool::worker_main(std::size_t index)
         QueuedJob job;
         if (pop_local(index, &job) || take_admitted(index, &job) ||
             steal(index, &job)) {
-            job.fn();
-            complete(job);
+            std::exception_ptr error;
+            try {
+                job.fn();
+            } catch (...) {
+                error = std::current_exception();
+            }
+            complete(job, std::move(error));
             continue;
         }
         std::unique_lock<std::mutex> lock(mu_);
@@ -237,6 +244,8 @@ WorkStealingPool::drain()
 {
     std::unique_lock<std::mutex> lock(mu_);
     idle_cv_.wait(lock, [this] { return outstanding_ == 0; });
+    if (first_error_)
+        std::rethrow_exception(std::exchange(first_error_, nullptr));
 }
 
 void

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -12,12 +13,12 @@
 
 /**
  * @file
- * The fleet's shared alarm-replay worker pool.
+ * The alarm-replay worker pool: the only one in the system.
  *
  * One pool serves every tenant of a ReplayFleet, sized once (default:
- * hardware_concurrency) instead of per-framework — N tenants no longer
- * mean N private pools oversubscribing the host. Scheduling is two
- * layers:
+ * hardware_concurrency) — N tenants never mean N pools oversubscribing
+ * the host. RnrSafeFramework runs its alarm replays on a one-tenant
+ * instance sized to the run. Scheduling is two layers:
  *
  *  - Fair-share admission: each tenant has an in-flight cap; jobs over
  *    the cap park in the tenant's FIFO backlog and are admitted as that
@@ -37,6 +38,10 @@
  * discards everything not yet executing (per-tenant discard counts let
  * the fleet flag partial results) and waits only for the jobs already
  * running.
+ *
+ * A job that throws does not take the worker down: the exception is
+ * caught, the job counts as executed, and the next drain() rethrows the
+ * first such exception once every job has finished.
  */
 
 namespace rsafe::fleet {
@@ -94,7 +99,8 @@ class WorkStealingPool {
     /** Queue one job for @p tenant. Thread-safe, never blocks. */
     void submit(std::size_t tenant, Job job);
 
-    /** Block until every submitted job has executed (or was discarded).
+    /** Block until every submitted job has executed (or was discarded),
+     *  then rethrow the first exception a job threw, if any (once).
      *  Callers must have stopped submitting for this to terminate. */
     void drain();
 
@@ -143,8 +149,9 @@ class WorkStealingPool {
     /** Steal half of the largest sibling deque into @p w's. */
     bool steal(std::size_t w, QueuedJob* out);
 
-    /** Account one finished job and admit the tenant's next parked job. */
-    void complete(const QueuedJob& job);
+    /** Account one finished job (keeping @p error if it is the first)
+     *  and admit the tenant's next parked job. */
+    void complete(const QueuedJob& job, std::exception_ptr error);
 
     /** Total admitted jobs across tenants. Requires mu_. */
     std::size_t admitted_total() const;
@@ -158,6 +165,7 @@ class WorkStealingPool {
     std::size_t rr_ = 0;               ///< round-robin hand-off cursor
     std::size_t outstanding_ = 0;      ///< submitted - executed - discarded
     bool stopping_ = false;
+    std::exception_ptr first_error_;   ///< rethrown by drain()
     PoolStats stats_;
 
     std::vector<std::unique_ptr<WorkerDeque>> deques_;

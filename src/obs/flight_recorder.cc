@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/log.h"
+#include "obs/health.h"
 #include "rnr/wire.h"
 
 namespace rsafe::obs {
@@ -346,6 +347,18 @@ FlightRecorder::appended() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return total_appended_;
+}
+
+void
+record_transitions(HealthMonitor* monitor, FlightRecorder* flight)
+{
+    monitor->add_listener([flight](const HealthEvent& event) {
+        flight->record(FlightEntryKind::kTransition, event.tenant,
+                       health_signal_name(event.signal), event.value,
+                       event.to_string());
+        if (event.to == HealthState::kCritical)
+            flight->dump("slo-breach:" + event.tenant);
+    });
 }
 
 }  // namespace rsafe::obs

@@ -124,6 +124,15 @@ class FlightRecorder {
     std::vector<std::uint8_t> latest_;
 };
 
+class HealthMonitor;
+
+/**
+ * Black-box every state transition @p monitor emits into @p flight, and
+ * dump the ring when a tenant turns critical. @p flight must outlive
+ * the monitor's sampling.
+ */
+void record_transitions(HealthMonitor* monitor, FlightRecorder* flight);
+
 }  // namespace rsafe::obs
 
 #endif  // RSAFE_OBS_FLIGHT_RECORDER_H_

@@ -194,9 +194,15 @@ HealthMonitor::add_sample_listener(SampleListener listener)
 }
 
 bool
+health_enabled(const HealthOptions& options)
+{
+    return options.enabled && std::getenv("RSAFE_NO_HEALTH") == nullptr;
+}
+
+bool
 HealthMonitor::start()
 {
-    if (!options_.enabled || std::getenv("RSAFE_NO_HEALTH") != nullptr)
+    if (!health_enabled(options_))
         return false;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -229,7 +235,7 @@ HealthMonitor::stop()
         stopped_ = true;
         // One final pass so the end-of-run state (the tick the breach
         // landed on, say) is captured even with a coarse cadence.
-        if (options_.enabled && std::getenv("RSAFE_NO_HEALTH") == nullptr)
+        if (health_enabled(options_))
             tick();
     }
 }

@@ -139,6 +139,10 @@ struct HealthOptions {
     double ewma_alpha = 0.2;
 };
 
+/** @return true if @p options enable the plane and RSAFE_NO_HEALTH is
+ *  unset — the one place that switch is read. */
+bool health_enabled(const HealthOptions& options);
+
 /**
  * The fleet-wide health monitor. Register tenants with their sampler,
  * start() the sampling thread (or call tick() directly from tests),

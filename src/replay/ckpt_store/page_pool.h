@@ -14,9 +14,9 @@
  * @file
  * Content-hash page dedup pool for checkpoint storage.
  *
- * The CowStore shares *unmodified* pages between consecutive checkpoints
- * by reference; the pool extends that to pages with *equal content*
- * anywhere in the chain. A freshly dirtied page that reverted to an
+ * The checkpoint page table (StoredPageTable) shares *unmodified* pages
+ * between consecutive checkpoints by reference; the pool extends that
+ * to pages with *equal content* anywhere in the chain. A freshly dirtied page that reverted to an
  * earlier value, or the thousands of identical zero pages in the initial
  * full checkpoint, intern to one StoredPage shared by every checkpoint
  * that holds it — so successive checkpoints own only their genuinely new

@@ -224,6 +224,35 @@ TEST(PagePool, DedupSharesEqualContentAndTracksLiveBytes)
     EXPECT_EQ(stats.live_bytes, 0u);
 }
 
+TEST(PagePool, InternedPagesAreImmutableSnapshots)
+{
+    replay::ckpt::PagePool pool;
+    std::vector<std::uint8_t> page(kPageSize, 1);
+    auto ref = pool.intern(page.data());
+    page[0] = 2;  // mutating the source must not affect the stored page
+    std::vector<std::uint8_t> decoded(kPageSize);
+    ref->copy_to(decoded.data());
+    EXPECT_EQ(decoded[0], 1);
+    EXPECT_TRUE(ref->content_equals(std::vector<std::uint8_t>(kPageSize, 1)
+                                        .data()));
+    EXPECT_EQ(pool.stats().pages_interned, 1u);
+    EXPECT_EQ(pool.stats().bytes_raw, kPageSize);
+}
+
+TEST(PagePool, SharedOwnershipKeepsPagesAlive)
+{
+    replay::ckpt::PagePool pool;
+    std::vector<std::uint8_t> page(kPageSize, 7);
+    auto a = pool.intern(page.data());
+    auto b = a;  // a later checkpoint sharing the page
+    a.reset();   // recycling the older checkpoint
+    ASSERT_TRUE(b != nullptr);
+    std::vector<std::uint8_t> decoded(kPageSize);
+    b->copy_to(decoded.data());
+    EXPECT_EQ(decoded[100], 7);
+    EXPECT_EQ(pool.stats().live_pages, 1u);
+}
+
 TEST(PagePool, CompressionIsOptionalAndLossless)
 {
     replay::ckpt::PagePoolOptions raw_options;

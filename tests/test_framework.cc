@@ -368,6 +368,32 @@ TEST(ConcurrentPipeline, WorkerCountDoesNotChangeResults)
     EXPECT_EQ(one.pipeline_stats.snapshot(), four.pipeline_stats.snapshot());
 }
 
+TEST(ConcurrentPipeline, ThrowingAlarmReplayIsRethrownInBothModes)
+{
+    // The 3rd VM build is the first AR VM (the recorded and CR VMs come
+    // first). Its failure must reach the caller as the original
+    // exception: on the calling thread in kSerial, through the worker
+    // pool's drain() in kConcurrent.
+    workloads::AttackMixOptions options;
+    options.iterations_per_task = 120;
+    const auto mix = workloads::attack_mix(options);
+    core::FrameworkConfig config;
+    config.pipeline = core::PipelineMode::kConcurrent;
+    config.ar_workers = 2;
+    ASSERT_GE(core::RnrSafeFramework(mix.factory, config).run()
+                  .ar_results.size(),
+              2u)
+        << "the concurrent arm must exercise the pool";
+    for (const auto mode :
+         {core::PipelineMode::kSerial, core::PipelineMode::kConcurrent}) {
+        config.pipeline = mode;
+        core::RnrSafeFramework framework(
+            test::failing_factory(mix.factory, 3), config);
+        EXPECT_THROW(framework.run(), FatalError)
+            << "mode " << static_cast<int>(mode);
+    }
+}
+
 }  // namespace
 }  // namespace rsafe
 // Appended: risk-averse mode and pipeline-robustness coverage.

@@ -3,9 +3,11 @@
 
 /** @file Shared helpers for VM-level integration tests. */
 
+#include <atomic>
 #include <functional>
 #include <memory>
 
+#include "common/log.h"
 #include "hv/hypervisor.h"
 #include "hv/vm.h"
 #include "isa/assembler.h"
@@ -20,6 +22,19 @@ user_image(const std::function<void(isa::Assembler&)>& body)
     isa::Assembler a(kernel::kUserCodeBase);
     body(a);
     return a.link();
+}
+
+/** @p base, except that its @p nth call (1-based) fatal()s. Thread-safe,
+ *  so the failure can land on an alarm-replay worker. */
+inline std::function<std::unique_ptr<hv::Vm>()>
+failing_factory(std::function<std::unique_ptr<hv::Vm>()> base, int nth)
+{
+    auto calls = std::make_shared<std::atomic<int>>(0);
+    return [base = std::move(base), calls, nth] {
+        if (calls->fetch_add(1) + 1 == nth)
+            fatal("injected VM build failure");
+        return base();
+    };
 }
 
 /** Device config with a quiet NIC and fast disk, for focused tests. */

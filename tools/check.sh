@@ -8,6 +8,9 @@
 #   tools/check.sh sanitize   # ASan+UBSan configuration only
 #   tools/check.sh tsan       # ThreadSanitizer configuration only
 #   tools/check.sh tidy       # clang-tidy over src/ (skips if not installed)
+#   tools/check.sh knobs      # runtime-knob lint: the RSAFE_NO_* names
+#                             # read via getenv under src/ must be exactly
+#                             # the set README.md documents.
 #   tools/check.sh fuzz       # libFuzzer smoke over tests/corpus (clang);
 #                             # falls back to corpus replay under gcc.
 #                             # RSAFE_FUZZ_RUNS bounds the run (default 50000).
@@ -63,6 +66,23 @@ run_tidy() {
         find src -name '*.cc' -print0 |
             xargs -0 -n 1 -P "$(nproc)" clang-tidy -p build --quiet
     fi
+}
+
+run_knobs() {
+    # Every RSAFE_NO_* environment switch the code reads is documented,
+    # and the README documents no switch the code no longer reads.
+    read_knobs="$(grep -rhoE 'getenv\("RSAFE_NO_[A-Z_]+"' src |
+                  grep -oE 'RSAFE_NO_[A-Z_]+' | sort -u)"
+    doc_knobs="$(grep -oE 'RSAFE_NO_[A-Z_]+' README.md | sort -u)"
+    if [ "$read_knobs" != "$doc_knobs" ]; then
+        echo "check.sh: RSAFE_NO_* knobs read via getenv under src/:" >&2
+        echo "$read_knobs" | sed 's/^/  /' >&2
+        echo "check.sh: RSAFE_NO_* knobs documented in README.md:" >&2
+        echo "$doc_knobs" | sed 's/^/  /' >&2
+        return 1
+    fi
+    echo "check.sh: runtime knobs ok ($(echo "$read_knobs" | wc -l)" \
+         "read under src/, the same set documented in README.md)"
 }
 
 run_fuzz() {
@@ -218,6 +238,7 @@ case "$mode" in
   sanitize) run_config build-asan -DRSAFE_SANITIZE=ON ;;
   tsan)     run_config build-tsan -DRSAFE_SANITIZE=thread ;;
   tidy)     run_tidy ;;
+  knobs)    run_knobs ;;
   fuzz)     run_fuzz ;;
   trace)    run_trace ;;
   bench)    run_bench ;;
@@ -230,7 +251,7 @@ case "$mode" in
     run_config build-tsan -DRSAFE_SANITIZE=thread
     ;;
   *)
-    echo "usage: tools/check.sh [release|sanitize|tsan|tidy|fuzz|trace|bench|fleet|ckpt|health|all]" >&2
+    echo "usage: tools/check.sh [release|sanitize|tsan|tidy|knobs|fuzz|trace|bench|fleet|ckpt|health|all]" >&2
     exit 2
     ;;
 esac
