@@ -6,10 +6,11 @@
  *
  * Besides the google-benchmark suite, the binary always finishes by
  * writing machine-readable results to BENCH_micro.json (instructions/sec
- * and ns/instr for the TB engine, the predecoded interpreter, and the
- * raw-decode interpreter, plus full/incremental checkpoint costs and
- * machine-independent speedup ratios). Pass --json-only to skip the
- * google-benchmark suite and emit just the JSON.
+ * and ns/instr for the TB engine and for the exec_one reference
+ * interpreter (TB off) with the decode cache on and off, plus
+ * full/incremental checkpoint costs and machine-independent speedup
+ * ratios). Pass --json-only to skip the google-benchmark suite and emit
+ * just the JSON.
  *
  * Pass --gate <baseline.json> to run as a CI perf gate: the fresh
  * speedup ratios are compared against the checked-in baseline and the

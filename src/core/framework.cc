@@ -215,7 +215,7 @@ finalize_result(FrameworkResult* result,
         lag_gauge.set(sample.icount, sample.lag);
 
     // Translation-block engine telemetry, per pipeline stage. These also
-    // ride in gauges/histograms: an RSAFE_NO_TB A/B run must produce an
+    // ride in gauges/histograms: a TB on/off A/B run must produce an
     // identical counter snapshot, and TB event counts are zero with the
     // engine disabled.
     const auto export_tb = [&stats](const std::string& prefix,
@@ -251,21 +251,6 @@ finalize_result(FrameworkResult* result,
         stats.gauge("ckpt.live_pages").set(0, cs.live_pages);
         stats.gauge("ckpt.budget_evictions").set(0, cs.budget_evictions);
         stats.gauge("ckpt.count_evictions").set(0, cs.count_evictions);
-    }
-    if (const replay::ckpt::CkptWriteback* wb = result->cr->writeback()) {
-        // Writeback traffic is scheduling noise by construction (a
-        // background thread racing the CR), so it could never be a
-        // counter. lag() is the headline gauge: sealed checkpoints not
-        // yet serialized + delivered.
-        const replay::ckpt::WritebackStats ws = wb->stats();
-        stats.gauge("ckpt.writeback_lag").set(0, wb->lag());
-        stats.gauge("ckpt.writeback_submitted").set(0, ws.submitted);
-        stats.gauge("ckpt.writeback_written").set(0, ws.written);
-        stats.gauge("ckpt.writeback_bytes").set(0, ws.bytes_written);
-        stats.gauge("ckpt.writeback_dropped").set(0, ws.dropped);
-        stats.gauge("ckpt.writeback_producer_waits")
-            .set(0, ws.producer_waits);
-        stats.gauge("ckpt.writeback_max_queued").set(0, ws.max_queued);
     }
 }
 

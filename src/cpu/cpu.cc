@@ -1,6 +1,6 @@
 #include "cpu/cpu.h"
 
-#include <cstdlib>
+#include <algorithm>
 
 #include "common/log.h"
 #include "cpu/tb_engine.h"
@@ -17,10 +17,6 @@ Cpu::Cpu(mem::PhysMem* mem, std::size_t ras_depth)
         fatal("Cpu: null memory");
     decode_cache_.resize(mem_->num_pages());
     tb_ = std::make_unique<TbEngine>(mem_);
-    if (const char* env = std::getenv("RSAFE_NO_TB");
-        env != nullptr && env[0] != '\0' && env[0] != '0') {
-        tb_enabled_ = false;
-    }
 }
 
 Cpu::~Cpu() = default;
@@ -554,252 +550,6 @@ Cpu::exec_one()
     return StepResult::kOk;
 }
 
-Cpu::StepResult
-Cpu::run_batch(InstrCount budget)
-{
-    // The register-resident inner interpreter. Preconditions (established
-    // by run()): no breakpoints armed, no pending IRQ, indirect-branch
-    // trap off. Instructions whose semantics are pure — no VM exit, no
-    // fault, no privilege interaction — are executed inline with the
-    // program counter and the instruction/cycle counters held in locals,
-    // so the compiler keeps them in registers across iterations. Anything
-    // else bails (before mutating any state) to exec_one(), the single
-    // source of truth for the complex cases. A bail that charges extra
-    // cycles is a VM exit: return so the caller can re-check the world.
-    const bool callret_pure = !vmcs_.controls.ras_alarm_enabled &&
-                              !vmcs_.controls.ras_evict_exit &&
-                              !vmcs_.controls.trap_kernel_call_ret &&
-                              !vmcs_.controls.trap_user_call_ret;
-    auto& regs = state_.regs;
-    Addr pc = state_.pc;
-    bool kernel = state_.mode == Mode::kKernel;
-    InstrCount done = 0;
-    InstrCount kdone = 0;
-
-    const auto spill = [&] {
-        state_.pc = pc;
-        icount_ += done;
-        cycles_ += done;
-        stats_.instructions += done;
-        stats_.kernel_instructions += kdone;
-        done = 0;
-        kdone = 0;
-    };
-
-    constexpr Addr kPageAndAlignMask =
-        ~static_cast<Addr>(kPageSize - 1) | (kInstrBytes - 1);
-
-    while (budget > 0) {
-        // Inline fetch from the one-entry page cache; page crossings,
-        // stale generations, and unaligned PCs all bail. (The sentinel
-        // cur_page_base_ of ~0 can never match pc & mask because the
-        // mask zeroes bits 3..11, so cur_dp_ is non-null when it does.)
-        if ((pc & kPageAndAlignMask) != cur_page_base_ ||
-            cur_dp_->gen != *cur_gen_) [[unlikely]]
-            goto bail;
-        {
-            const std::size_t slot = page_offset(pc) / kInstrBytes;
-            if (!cur_dp_->valid[slot]) [[unlikely]]
-                goto bail;
-            const isa::Instr instr = cur_dp_->instrs[slot];
-            const Addr next_pc = pc + kInstrBytes;
-            Addr new_pc = next_pc;
-            switch (instr.op) {
-              case Opcode::kNop:
-                break;
-
-              case Opcode::kAdd: regs[instr.rd] = regs[instr.rs1] + regs[instr.rs2]; break;
-              case Opcode::kSub: regs[instr.rd] = regs[instr.rs1] - regs[instr.rs2]; break;
-              case Opcode::kMul: regs[instr.rd] = regs[instr.rs1] * regs[instr.rs2]; break;
-              case Opcode::kDivu:
-                regs[instr.rd] = regs[instr.rs2] == 0
-                                     ? ~static_cast<Word>(0)
-                                     : regs[instr.rs1] / regs[instr.rs2];
-                break;
-              case Opcode::kAnd: regs[instr.rd] = regs[instr.rs1] & regs[instr.rs2]; break;
-              case Opcode::kOr:  regs[instr.rd] = regs[instr.rs1] | regs[instr.rs2]; break;
-              case Opcode::kXor: regs[instr.rd] = regs[instr.rs1] ^ regs[instr.rs2]; break;
-              case Opcode::kShl: regs[instr.rd] = regs[instr.rs1] << (regs[instr.rs2] & 63); break;
-              case Opcode::kShr: regs[instr.rd] = regs[instr.rs1] >> (regs[instr.rs2] & 63); break;
-
-              case Opcode::kAddi: regs[instr.rd] = regs[instr.rs1] + static_cast<Word>(instr.simm()); break;
-              case Opcode::kAndi: regs[instr.rd] = regs[instr.rs1] & static_cast<Word>(instr.simm()); break;
-              case Opcode::kOri:  regs[instr.rd] = regs[instr.rs1] | static_cast<Word>(instr.simm()); break;
-              case Opcode::kXori: regs[instr.rd] = regs[instr.rs1] ^ static_cast<Word>(instr.simm()); break;
-              case Opcode::kShli: regs[instr.rd] = regs[instr.rs1] << (instr.imm & 63); break;
-              case Opcode::kShri: regs[instr.rd] = regs[instr.rs1] >> (instr.imm & 63); break;
-
-              case Opcode::kLdi:
-                regs[instr.rd] = static_cast<Word>(instr.simm());
-                break;
-              case Opcode::kLdiu:
-                regs[instr.rd] =
-                    (regs[instr.rd] << 32) |
-                    static_cast<Word>(static_cast<std::uint32_t>(instr.imm));
-                break;
-              case Opcode::kMov:
-                regs[instr.rd] = regs[instr.rs1];
-                break;
-
-              case Opcode::kLd:
-              case Opcode::kLdb: {
-                const Addr addr =
-                    regs[instr.rs1] + static_cast<Word>(instr.simm());
-                if (dev::is_mmio(addr)) [[unlikely]]
-                    goto bail;
-                Word value;
-                if (mem_->read(addr, instr.op == Opcode::kLd ? 8 : 1,
-                               &value) != mem::MemResult::kOk) [[unlikely]]
-                    goto bail;
-                regs[instr.rd] = value;
-                break;
-              }
-              case Opcode::kSt:
-              case Opcode::kStb: {
-                const Addr addr =
-                    regs[instr.rs1] + static_cast<Word>(instr.simm());
-                if (dev::is_mmio(addr)) [[unlikely]]
-                    goto bail;
-                const bool st8 = instr.op == Opcode::kSt;
-                if (mem_->write(addr, st8 ? 8 : 1,
-                                st8 ? regs[instr.rs2]
-                                    : (regs[instr.rs2] & 0xff)) !=
-                    mem::MemResult::kOk) [[unlikely]]
-                    goto bail;
-                break;
-              }
-
-              case Opcode::kBeq:
-                if (regs[instr.rs1] == regs[instr.rs2]) new_pc = instr.uimm();
-                break;
-              case Opcode::kBne:
-                if (regs[instr.rs1] != regs[instr.rs2]) new_pc = instr.uimm();
-                break;
-              case Opcode::kBlt:
-                if (static_cast<std::int64_t>(regs[instr.rs1]) <
-                    static_cast<std::int64_t>(regs[instr.rs2]))
-                    new_pc = instr.uimm();
-                break;
-              case Opcode::kBge:
-                if (static_cast<std::int64_t>(regs[instr.rs1]) >=
-                    static_cast<std::int64_t>(regs[instr.rs2]))
-                    new_pc = instr.uimm();
-                break;
-              case Opcode::kBltu:
-                if (regs[instr.rs1] < regs[instr.rs2]) new_pc = instr.uimm();
-                break;
-              case Opcode::kBgeu:
-                if (regs[instr.rs1] >= regs[instr.rs2]) new_pc = instr.uimm();
-                break;
-
-              case Opcode::kJmp:
-                new_pc = instr.uimm();
-                break;
-              case Opcode::kJmpr:
-                // trap_indirect_branch is off (run_batch precondition).
-                new_pc = regs[instr.rs1];
-                break;
-
-              case Opcode::kCall:
-              case Opcode::kCallr: {
-                if (!callret_pure) [[unlikely]]
-                    goto bail;
-                // Push the link without pre-decrementing sp so a stack
-                // fault can still bail with nothing mutated.
-                if (mem_->write(state_.sp - 8, 8, next_pc) !=
-                    mem::MemResult::kOk) [[unlikely]]
-                    goto bail;
-                state_.sp -= 8;
-                ras_.push(next_pc);  // evict exit off under callret_pure
-                ++stats_.calls;
-                new_pc = instr.op == Opcode::kCall ? instr.uimm()
-                                                   : regs[instr.rs1];
-                break;
-              }
-              case Opcode::kRet: {
-                if (!callret_pure) [[unlikely]]
-                    goto bail;
-                Word target;
-                if (mem_->read(state_.sp, 8, &target) !=
-                    mem::MemResult::kOk) [[unlikely]]
-                    goto bail;
-                state_.sp += 8;
-                ++stats_.rets;
-                ras_.set_whitelist_enabled(vmcs_.controls.whitelist_enabled);
-                Addr predicted = 0;
-                switch (ras_.predict(pc, target, &predicted)) {
-                  case RasPredict::kHit:
-                    ++stats_.ras_hits;
-                    break;
-                  case RasPredict::kHitRestored:
-                    ++stats_.ras_hits;
-                    ++stats_.ras_hits_restored;
-                    break;
-                  case RasPredict::kWhitelisted:
-                    ++stats_.ras_whitelisted;
-                    break;
-                  default:
-                    break;  // alarm disabled under callret_pure
-                }
-                new_pc = target;
-                break;
-              }
-
-              case Opcode::kPush:
-                if (mem_->write(state_.sp - 8, 8, regs[instr.rs1]) !=
-                    mem::MemResult::kOk) [[unlikely]]
-                    goto bail;
-                state_.sp -= 8;
-                break;
-              case Opcode::kPop: {
-                Word value;
-                if (mem_->read(state_.sp, 8, &value) !=
-                    mem::MemResult::kOk) [[unlikely]]
-                    goto bail;
-                state_.sp += 8;
-                regs[instr.rd] = value;
-                break;
-              }
-              case Opcode::kGetsp:
-                regs[instr.rd] = state_.sp;
-                break;
-              case Opcode::kSetsp:
-                state_.sp = regs[instr.rs1];
-                break;
-              case Opcode::kAddsp:
-                state_.sp += static_cast<Word>(instr.simm());
-                break;
-
-              default:
-                // halt, syscall/iret, cli/sti, rdtsc, pio — or an
-                // undecodable slot. All handled by the canonical path.
-                goto bail;
-            }
-            pc = new_pc;
-            ++done;
-            kdone += kernel ? 1 : 0;
-            --budget;
-            continue;
-        }
-
-      bail:
-        spill();
-        {
-            const Cycles expect = cycles_ + 1;
-            const StepResult result = exec_one();
-            if (result != StepResult::kOk)
-                return result;
-            --budget;
-            if (cycles_ != expect)
-                return StepResult::kOk;  // VM exit: caller re-checks world
-            pc = state_.pc;
-            kernel = state_.mode == Mode::kKernel;
-        }
-    }
-    spill();
-    return StepResult::kOk;
-}
-
 StopReason
 Cpu::run(Cycles stop_cycles, InstrCount stop_icount)
 {
@@ -826,20 +576,21 @@ Cpu::run(Cycles stop_cycles, InstrCount stop_icount)
         }
 
         StepResult result;
-        if (!vmcs_.pending_irq && !vmcs_.controls.trap_indirect_branch &&
-            !vmcs_.controls.wx_fetch_exit &&
-            (vmcs_.breakpoints.empty() || tb_enabled_)) [[likely]] {
-            // Batched hot loop. With no interrupt awaiting delivery and
+        if (tb_enabled_ && !vmcs_.pending_irq &&
+            !vmcs_.controls.trap_indirect_branch &&
+            !vmcs_.controls.wx_fetch_exit) [[likely]] {
+            // Translated blocks. With no interrupt awaiting delivery and
             // the (cycle-free) indirect-branch trap off, nothing can
             // demand attention between instructions except a VM exit —
             // and every VM exit charges extra cycles, so "cycles
             // advanced by exactly 1" proves the instruction was pure and
             // the stop conditions are untouched. Execute up to the
             // nearest limit and let the outer loop re-check the world
-            // after any exit. Armed breakpoints force run_batch out of
-            // this path (it cannot stop at one mid-stream); run_tb cuts
-            // blocks at breakpoints and returns here so the hook above
-            // fires exactly as in single-step mode.
+            // after any exit. run_tb cuts blocks at armed breakpoints
+            // and returns here so the hook above fires exactly as in
+            // single-step mode. Otherwise (TB off, or a condition that
+            // needs a check between instructions) retire one
+            // instruction through exec_one, the reference interpreter.
             InstrCount budget =
                 std::min(stop_icount, vmcs_.perf_stop) - icount_;
             // The breakpoint hook and IRQ delivery above charge cycles
@@ -852,7 +603,7 @@ Cpu::run(Cycles stop_cycles, InstrCount stop_icount)
                 run_stop_cycles_ > cycles_ ? run_stop_cycles_ - cycles_ : 1;
             if (budget > cycle_budget)
                 budget = cycle_budget;  // cycles grow >= 1 per instruction
-            result = tb_enabled_ ? run_tb(budget) : run_batch(budget);
+            result = run_tb(budget);
         } else {
             result = exec_one();
         }

@@ -217,7 +217,9 @@ class Cpu {
     CpuStats& stats() { return stats_; }
 
     /**
-     * Execute until a stop condition is met.
+     * Execute until a stop condition is met. Runs translated blocks
+     * (run_tb) while the engine is enabled and nothing needs a check
+     * between instructions; otherwise one exec_one per instruction.
      *
      * @param stop_cycles  return kCycleLimit once cycles() >= this
      *                     (the next host device event).
@@ -259,9 +261,10 @@ class Cpu {
     bool decode_cache_enabled() const { return decode_cache_enabled_; }
 
     /**
-     * Toggle the translation-block engine (on by default unless the
-     * RSAFE_NO_TB environment variable is set). Execution is
-     * bit-identical either way; the toggle exists for A/B testing.
+     * Toggle the translation-block engine (on by default). Off, run()
+     * retires every instruction through exec_one, the reference
+     * interpreter. Execution is bit-identical either way; the toggle
+     * exists so tests can check the engine against that reference.
      */
     void set_tb_enabled(bool enabled) { tb_enabled_ = enabled; }
     bool tb_enabled() const { return tb_enabled_; }
@@ -284,7 +287,6 @@ class Cpu {
     };
 
     StepResult exec_one();
-    StepResult run_batch(InstrCount budget);
     StepResult run_tb(InstrCount budget);  // defined in tb_engine.cc
     const isa::Instr* cached_instr(Addr pc);
     const DecodedPage* cached_page(Addr page);

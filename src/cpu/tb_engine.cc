@@ -535,23 +535,24 @@ TbEngine::flush()
 }
 
 /**
- * The translated-block dispatch loop. Drop-in replacement for
- * Cpu::run_batch with identical architectural effects: same preconditions
- * (no pending IRQ, indirect-branch trap off), same bail protocol
- * (exec_one is the single source of truth for everything complex, and
- * "cycles advanced by exactly 1" proves the instruction was pure), same
- * one-cycle-per-instruction accounting.
+ * The translated-block dispatch loop, the only batched execution path.
+ * Its architectural effects are those of exec_one run instruction by
+ * instruction. Preconditions (established by run()): no pending IRQ,
+ * indirect-branch trap and W^X fetch exit off. Bail protocol: exec_one
+ * is the single source of truth for everything complex, and "cycles
+ * advanced by exactly 1" proves the instruction was pure. Accounting:
+ * one cycle per instruction.
  *
  * A block is entered only when the remaining budget covers its whole
  * length; otherwise the tail up to the stop point executes through
  * exec_one, so replay barriers (perf stops, injection icounts, checkpoint
  * boundaries) are honored exactly, never overshot.
  *
- * Unlike run_batch this loop tolerates armed PC breakpoints: translation
- * cuts every block short of a breakpoint and refuses to start one at a
- * breakpoint, and the dispatch loop hands control back to run() — which
- * owns firing the hook — whenever execution reaches a breakpointed PC
- * after making progress (the entry PC's hook already fired).
+ * This loop tolerates armed PC breakpoints: translation cuts every
+ * block short of a breakpoint and refuses to start one at a breakpoint,
+ * and the dispatch loop hands control back to run() — which owns firing
+ * the hook — whenever execution reaches a breakpointed PC after making
+ * progress (the entry PC's hook already fired).
  */
 Cpu::StepResult
 Cpu::run_tb(InstrCount budget)

@@ -17,11 +17,12 @@
  * The translation-block execution engine (QEMU-TCG structure, no host
  * code emitter).
  *
- * The predecoded interpreter (PR 1) still pays, per guest instruction,
- * for a page-cache probe, a generation check, a valid-slot check, and
- * program-counter bookkeeping. The TB engine removes all of that from
- * the hot path by decoding each guest *basic block* once into a flat
- * micro-op trace:
+ * The reference interpreter (Cpu::exec_one) pays, per guest
+ * instruction, for a fetch through the decode cache, a dispatch over the
+ * full opcode set with its exit and privilege checks, and the stop-
+ * condition checks in Cpu::run. The TB engine is the only batched
+ * execution path: it removes all of that from the hot path by decoding
+ * each guest *basic block* once into a flat micro-op trace:
  *
  *  - operand kinds are pre-resolved at translation time: every single
  *    ALU form is its own micro-op opcode (reg-reg vs reg-imm vs
@@ -61,9 +62,9 @@
  * canonical implementation. Replay barriers are respected by budget: a
  * block is only entered whole when the remaining instruction budget
  * covers it, so execution stops exactly at perf-counter stops,
- * interrupt-injection icounts and checkpoint boundaries. The
- * RSAFE_NO_TB environment variable (or Cpu::set_tb_enabled(false))
- * forces the predecoded-interpreter path for A/B testing.
+ * interrupt-injection icounts and checkpoint boundaries.
+ * Cpu::set_tb_enabled(false) runs every instruction through exec_one,
+ * the reference the A/B tests compare the engine against.
  */
 
 namespace rsafe::cpu {

@@ -211,7 +211,10 @@ HealthMonitor::start()
     }
     if (running_.load(std::memory_order_acquire))
         return true;
-    stop_requested_.store(false, std::memory_order_release);
+    {
+        std::lock_guard<std::mutex> lock(wake_mu_);
+        stop_requested_ = false;
+    }
     stopped_ = false;
     running_.store(true, std::memory_order_release);
     thread_ = std::thread([this] { run_loop(); });
@@ -227,7 +230,11 @@ HealthMonitor::running() const
 void
 HealthMonitor::stop()
 {
-    stop_requested_.store(true, std::memory_order_release);
+    {
+        std::lock_guard<std::mutex> lock(wake_mu_);
+        stop_requested_ = true;
+    }
+    wake_cv_.notify_all();
     if (thread_.joinable())
         thread_.join();
     running_.store(false, std::memory_order_release);
@@ -244,10 +251,14 @@ void
 HealthMonitor::run_loop()
 {
     Tracer::instance().attach_thread("health");
-    while (!stop_requested_.load(std::memory_order_acquire)) {
+    std::unique_lock<std::mutex> lock(wake_mu_);
+    while (!stop_requested_) {
+        lock.unlock();
         tick();
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(options_.cadence_ms));
+        lock.lock();
+        // stop() signals the wait, so joining never sits out a cadence.
+        wake_cv_.wait_for(lock, std::chrono::milliseconds(options_.cadence_ms),
+                          [this] { return stop_requested_; });
     }
 }
 

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -243,7 +244,10 @@ class HealthMonitor {
 
     std::thread thread_;
     std::atomic<bool> running_{false};
-    std::atomic<bool> stop_requested_{false};
+    /** Wakes the sampling thread out of its cadence wait on stop(). */
+    std::mutex wake_mu_;
+    std::condition_variable wake_cv_;
+    bool stop_requested_ = false;  ///< guarded by wake_mu_
     bool stopped_ = false;
 };
 

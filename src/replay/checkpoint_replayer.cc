@@ -43,10 +43,8 @@ CheckpointReplayer::take_initial_checkpoint()
         // The initial full checkpoint: the baseline every later
         // incremental checkpoint chains from. Not charged to the replay
         // (it amounts to having the initial VM image on hand).
-        const auto ck = store_.take(*vm_, *this, log_pos());
+        store_.take(*vm_, *this, log_pos());
         last_checkpoint_cycles_ = vm_->cpu().cycles();
-        if (cr_options_.writeback)
-            cr_options_.writeback->submit(ck);
     }
 }
 
@@ -67,8 +65,6 @@ CheckpointReplayer::maybe_checkpoint()
     overhead_.chk += cost;
     last_checkpoint_cycles_ = cpu.cycles();
     ++checkpoints_taken_;
-    if (cr_options_.writeback)
-        cr_options_.writeback->submit(ck);
     obs::Tracer::instance().instant("cr.checkpoint.taken", "cr", "copies",
                                     ck->copies);
     publish_occupancy();

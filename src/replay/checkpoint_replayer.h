@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "replay/checkpoint.h"
-#include "replay/ckpt_store/writeback.h"
 #include "rnr/replayer.h"
 
 /**
@@ -35,10 +34,6 @@ struct CrOptions {
     /** Byte budget for stored checkpoint pages (0 = unlimited); see
      *  CheckpointStoreOptions::byte_budget. */
     std::uint64_t checkpoint_byte_budget = 0;
-    /** Optional async writeback: every sealed checkpoint is submitted to
-     *  this channel (not owned; must outlive the CR). Serialization
-     *  happens on the writeback worker, off the replay critical path. */
-    ckpt::CkptWriteback* writeback = nullptr;
 };
 
 /** An alarm the CR could not resolve itself. */
@@ -98,9 +93,6 @@ class CheckpointReplayer : public rnr::Replayer {
 
     /** Cycles spent copying checkpoint pages/blocks. */
     Cycles checkpoint_cycles() const { return overhead().chk; }
-
-    /** The writeback channel wired in via CrOptions (may be null). */
-    ckpt::CkptWriteback* writeback() const { return cr_options_.writeback; }
 
     /**
      * Attach the live health probe: publishes the current store

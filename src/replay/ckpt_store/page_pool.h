@@ -37,8 +37,8 @@
  *
  * Thread contract: intern() and intern_zero() are called from one
  * thread (the CR); the returned refs may be dropped from any thread (AR
- * workers, the writeback thread), so the live-byte accounting rides in
- * atomics updated by the pages' deleters.
+ * workers, fleet jobs), so the live-byte accounting rides in atomics
+ * updated by the pages' deleters.
  */
 
 namespace rsafe::replay::ckpt {

@@ -1,16 +1,13 @@
 /** @file Checkpoint-store tests: the RLE codec, content-hash dedup and
  *  its refcounted live accounting, byte-budget recycling, the
- *  RSAFE_NO_CKPT_COMPRESS A/B determinism gate, async writeback, and the
- *  shippable-checkpoint path (ArStage booting from a deserialized
+ *  RSAFE_NO_CKPT_COMPRESS A/B determinism gate, and the shippable-
+ *  checkpoint path (ArStage booting from a deserialized
  *  kCheckpointImage with bit-identical verdicts, in the fleet too). */
 
 #include <gtest/gtest.h>
 
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/log.h"
@@ -22,8 +19,8 @@
 #include "replay/ckpt_store/ckpt_image.h"
 #include "replay/ckpt_store/compress.h"
 #include "replay/ckpt_store/page_pool.h"
-#include "replay/ckpt_store/writeback.h"
 #include "rnr/recorder.h"
+#include "test_util.h"
 #include "workloads/attack_mix.h"
 #include "workloads/benchmarks.h"
 #include "workloads/generator.h"
@@ -598,173 +595,6 @@ TEST(CkptImage, DamageLandsInStatusNeverAborts)
 }
 
 // ---------------------------------------------------------------------
-// Async writeback.
-
-TEST(Writeback, DrainDeliversEverySealedCheckpointWithoutCostDrift)
-{
-    const auto profile = small_profile("fileio", 200);
-    auto factory = workloads::vm_factory(profile);
-    auto recorded = record(profile);
-    const auto& log = recorded.recorder->log();
-
-    replay::CrOptions options;
-    options.checkpoint_interval = 1'500'000;
-
-    // Reference run: no writeback.
-    auto plain_vm = factory();
-    replay::CheckpointReplayer plain(plain_vm.get(), &log, options);
-    ASSERT_EQ(plain.run(), rnr::ReplayOutcome::kFinished);
-
-    std::mutex mu;
-    std::vector<std::pair<std::uint64_t, std::size_t>> delivered;
-    replay::ckpt::CkptWriteback writeback(
-        [&](std::shared_ptr<const replay::Checkpoint> ck,
-            std::vector<std::uint8_t> image) {
-            replay::Checkpoint decoded;
-            ASSERT_TRUE(replay::ckpt::deserialize_checkpoint(image,
-                                                             &decoded)
-                            .ok());
-            EXPECT_EQ(replay::digest_of(decoded), replay::digest_of(*ck));
-            std::lock_guard<std::mutex> lock(mu);
-            delivered.emplace_back(ck->id, image.size());
-        },
-        {/*capacity=*/2});
-    auto wb_vm = factory();
-    auto wb_options = options;
-    wb_options.writeback = &writeback;
-    replay::CheckpointReplayer cr(wb_vm.get(), &log, wb_options);
-    ASSERT_EQ(cr.run(), rnr::ReplayOutcome::kFinished);
-    writeback.close();
-
-    // Every sealed checkpoint (initial + periodic) was serialized and
-    // delivered, in order.
-    const auto stats = writeback.stats();
-    EXPECT_EQ(stats.submitted, cr.checkpoints_taken() + 1);
-    EXPECT_EQ(stats.written, stats.submitted);
-    EXPECT_EQ(stats.dropped, 0u);
-    EXPECT_EQ(writeback.lag(), 0u);
-    ASSERT_EQ(delivered.size(), stats.written);
-    for (std::size_t i = 1; i < delivered.size(); ++i)
-        EXPECT_GT(delivered[i].first, delivered[i - 1].first);
-    EXPECT_GT(stats.bytes_written, 0u);
-
-    // Writeback rides outside the simulated timeline: the replay clock
-    // and the machine state match the plain run exactly.
-    EXPECT_EQ(wb_vm->cpu().cycles(), plain_vm->cpu().cycles());
-    EXPECT_EQ(wb_vm->state_hash(), plain_vm->state_hash());
-}
-
-/** A sink whose completions the test releases one by one. */
-struct GatedSink {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t tickets = 0;
-    std::size_t entered = 0;
-
-    void wait_entered(std::size_t n)
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return entered >= n; });
-    }
-
-    void release(std::size_t n)
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        tickets += n;
-        cv.notify_all();
-    }
-
-    void run()
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        ++entered;
-        cv.notify_all();
-        cv.wait(lock, [&] { return tickets > 0; });
-        --tickets;
-    }
-};
-
-std::shared_ptr<const replay::Checkpoint>
-tiny_checkpoint(hv::Vm& vm, replay::CheckpointStore* store,
-                std::size_t log_pos)
-{
-    rnr::InputLog empty_log;
-    rnr::Replayer env(&vm, &empty_log, 0, rnr::ReplayOptions{});
-    return store->take(vm, env, log_pos);
-}
-
-TEST(Writeback, BackpressureBlocksTheProducerUntilTheWorkerCatchesUp)
-{
-    auto profile = small_profile();
-    auto vm = workloads::make_vm(profile);
-    replay::CheckpointStore store(0);
-
-    GatedSink gate;
-    replay::ckpt::CkptWriteback writeback(
-        [&](std::shared_ptr<const replay::Checkpoint>,
-            std::vector<std::uint8_t>) { gate.run(); },
-        {/*capacity=*/1});
-
-    // First submit: the worker takes it and parks in the sink.
-    writeback.submit(tiny_checkpoint(*vm, &store, 0));
-    gate.wait_entered(1);
-    // Second submit: queued (the queue holds capacity=1 items).
-    writeback.submit(tiny_checkpoint(*vm, &store, 1));
-    // Third submit: must block on backpressure until the worker frees a
-    // slot. Run it on a helper thread and watch it park.
-    std::thread producer(
-        [&] { writeback.submit(tiny_checkpoint(*vm, &store, 2)); });
-    while (writeback.stats().producer_waits == 0)
-        std::this_thread::yield();
-    EXPECT_EQ(writeback.stats().submitted, 2u);
-
-    gate.release(3);
-    producer.join();
-    writeback.close();
-    const auto stats = writeback.stats();
-    EXPECT_EQ(stats.submitted, 3u);
-    EXPECT_EQ(stats.written, 3u);
-    EXPECT_GE(stats.producer_waits, 1u);
-    EXPECT_EQ(stats.max_queued, 1u);
-}
-
-TEST(Writeback, AbandonDiscardsQueuedCheckpointsAndStaysCoherent)
-{
-    auto profile = small_profile();
-    auto vm = workloads::make_vm(profile);
-    replay::CheckpointStore store(0);
-
-    GatedSink gate;
-    replay::ckpt::CkptWriteback writeback(
-        [&](std::shared_ptr<const replay::Checkpoint>,
-            std::vector<std::uint8_t>) { gate.run(); },
-        {/*capacity=*/4});
-
-    writeback.submit(tiny_checkpoint(*vm, &store, 0));
-    gate.wait_entered(1);  // worker is busy with #0
-    writeback.submit(tiny_checkpoint(*vm, &store, 1));
-    writeback.submit(tiny_checkpoint(*vm, &store, 2));
-
-    // Abandon while #1/#2 are still queued; release the worker so the
-    // join can complete. abandon() clears the queue under the lock
-    // before joining, so the released worker finds it empty.
-    std::thread abandoner([&] { writeback.abandon(); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    gate.release(1);
-    abandoner.join();
-
-    const auto stats = writeback.stats();
-    EXPECT_EQ(stats.submitted, 3u);
-    EXPECT_EQ(stats.written + stats.dropped, stats.submitted);
-    EXPECT_EQ(stats.dropped, 2u);
-    EXPECT_EQ(writeback.lag(), 0u);
-
-    // Submissions after the stream is sealed are dropped silently.
-    writeback.submit(tiny_checkpoint(*vm, &store, 3));
-    EXPECT_EQ(writeback.stats().submitted, 3u);
-}
-
-// ---------------------------------------------------------------------
 // The AR side: clean checkpoint-unavailable verdicts and booting from a
 // deserialized image.
 
@@ -947,22 +777,22 @@ TEST(ArStage, PristineSkipRestoresExactlyWhatTheFullPathDoes)
 // The fleet ship mode.
 
 fleet::FleetResult
-run_fleet(bool ship)
+run_fleet(const core::VmFactory& factory, bool ship)
 {
     fleet::FleetOptions options;
     options.workers = 2;
     options.ship_checkpoints = ship;
     core::FrameworkConfig config;
     config.pipeline = core::PipelineMode::kConcurrent;
-    fleet::ReplayFleet fleet({{"t", attack_factory(), config}}, options);
+    fleet::ReplayFleet fleet({{"t", factory, config}}, options);
     return fleet.run();
 }
 
 void
-expect_ship_matches_in_memory()
+expect_ship_matches_in_memory(const core::VmFactory& factory)
 {
-    const auto in_memory = run_fleet(false);
-    const auto shipped = run_fleet(true);
+    const auto in_memory = run_fleet(factory, false);
+    const auto shipped = run_fleet(factory, true);
     ASSERT_EQ(in_memory.tenants.size(), 1u);
     ASSERT_EQ(shipped.tenants.size(), 1u);
 
@@ -990,14 +820,12 @@ expect_ship_matches_in_memory()
 
 TEST(FleetShip, ShippedCheckpointsMatchInMemoryJobsBitForBit)
 {
-    expect_ship_matches_in_memory();
+    expect_ship_matches_in_memory(attack_factory());
 }
 
 TEST(FleetShip, ShippedCheckpointsMatchWithTranslationBlocksOff)
 {
-    ::setenv("RSAFE_NO_TB", "1", 1);
-    expect_ship_matches_in_memory();
-    ::unsetenv("RSAFE_NO_TB");
+    expect_ship_matches_in_memory(test::interpreter_only(attack_factory()));
 }
 
 }  // namespace

@@ -281,15 +281,9 @@ run_scenario(const workloads::DetectorScenario& scenario,
     config.detectors = standard_detectors(images, policy);
     config.pipeline = mode;
     config.ar_workers = mode == PipelineMode::kConcurrent ? 3 : 1;
-    auto factory = scenario.factory;
-    if (!tb) {
-        factory = [inner = scenario.factory] {
-            auto vm = inner();
-            vm->cpu().set_tb_enabled(false);
-            return vm;
-        };
-    }
-    RnrSafeFramework framework(factory, config);
+    RnrSafeFramework framework(
+        tb ? scenario.factory : test::interpreter_only(scenario.factory),
+        config);
     return framework.run();
 }
 

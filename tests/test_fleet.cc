@@ -155,14 +155,10 @@ TEST(Fleet, TenantsMatchTheirSoloRunsBitForBit)
 
 TEST(Fleet, TbOnOffAgreesThroughTheFleet)
 {
-    // The RSAFE_NO_TB gate extended to the fleet path: interpreter-only
+    // The TB on/off gate extended to the fleet path: interpreter-only
     // tenants must produce the same digests as TB-enabled ones.
     const auto factory = attack_factory();
-    const auto interp = [factory]() {
-        auto vm = factory();
-        vm->cpu().set_tb_enabled(false);
-        return vm;
-    };
+    const auto interp = test::interpreter_only(factory);
     fleet::ReplayFleet tb({{"t", factory, streamed_config()}},
                           {/*workers=*/2});
     fleet::ReplayFleet no_tb({{"t", interp, streamed_config()}},

@@ -198,18 +198,7 @@ TEST(ConcurrentPipeline, MatchesSerialBitForBit)
               serial.pipeline_stats.snapshot());
 }
 
-/** @p factory with the translation-block engine forced off per VM. */
-std::function<std::unique_ptr<hv::Vm>()>
-interpreter_only(std::function<std::unique_ptr<hv::Vm>()> factory)
-{
-    return [factory = std::move(factory)] {
-        auto vm = factory();
-        vm->cpu().set_tb_enabled(false);
-        return vm;
-    };
-}
-
-/** Everything the RSAFE_NO_TB A/B gate compares between two runs. */
+/** Everything the TB on/off A/B gate compares between two runs. */
 struct AbDigest {
     hv::RunResult record_result{};
     rnr::ReplayOutcome cr_outcome{};
@@ -234,7 +223,7 @@ run_ab(const std::function<std::unique_ptr<hv::Vm>()>& factory,
     config.pipeline = mode;
     config.ar_workers = mode == core::PipelineMode::kConcurrent ? 3 : 1;
     core::RnrSafeFramework framework(
-        tb ? factory : interpreter_only(factory), config);
+        tb ? factory : test::interpreter_only(factory), config);
     auto result = framework.run();
 
     AbDigest d;
@@ -254,7 +243,7 @@ run_ab(const std::function<std::unique_ptr<hv::Vm>()>& factory,
 
 TEST(Framework, TbEngineABDeterminismAcrossWorkloads)
 {
-    // The RSAFE_NO_TB A/B gate: the translation-block engine must be
+    // The TB on/off A/B gate: the translation-block engine must be
     // architecturally invisible. For each Table 3 workload the full
     // record→CR pipeline runs with the engine on and off and must agree
     // on outcomes, digests, clocks, and the counters-only stat snapshot.

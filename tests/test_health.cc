@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <netinet/in.h>
@@ -334,6 +336,23 @@ TEST(HealthMonitor, SamplingThreadTicksAndStops)
     const auto after = h.monitor.ticks();
     h.monitor.stop();  // idempotent
     EXPECT_EQ(h.monitor.ticks(), after);
+}
+
+TEST(HealthMonitor, StopWakesTheSamplerWithoutWaitingOutTheCadence)
+{
+    HealthOptions options = absolute_queue_rule(1, 1);
+    options.cadence_ms = 2000;
+    MonitorHarness h(options);
+    ASSERT_TRUE(h.monitor.start());
+    // After the first tick the thread sits in its two-second wait.
+    while (h.monitor.ticks() < 1)
+        std::this_thread::yield();
+    const auto t0 = std::chrono::steady_clock::now();
+    h.monitor.stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(200));
+    // The loop's one tick plus stop()'s final one.
+    EXPECT_EQ(h.monitor.ticks(), 2u);
 }
 
 // ---------------------------------------------------------------------

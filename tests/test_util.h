@@ -37,6 +37,18 @@ failing_factory(std::function<std::unique_ptr<hv::Vm>()> base, int nth)
     };
 }
 
+/** @p factory with the translation-block engine off in every VM it
+ *  builds, so each one runs on exec_one, the reference interpreter. */
+inline std::function<std::unique_ptr<hv::Vm>()>
+interpreter_only(std::function<std::unique_ptr<hv::Vm>()> factory)
+{
+    return [factory = std::move(factory)] {
+        auto vm = factory();
+        vm->cpu().set_tb_enabled(false);
+        return vm;
+    };
+}
+
 /** Device config with a quiet NIC and fast disk, for focused tests. */
 inline dev::DeviceConfig
 quiet_devices()

@@ -10,7 +10,10 @@
 #   tools/check.sh tidy       # clang-tidy over src/ (skips if not installed)
 #   tools/check.sh knobs      # runtime-knob lint: the RSAFE_NO_* names
 #                             # read via getenv under src/ must be exactly
-#                             # the set README.md documents.
+#                             # the set README.md documents, and every
+#                             # name DESIGN.md, the verify skill, tools/,
+#                             # bench/, .github/ or a test setenv uses
+#                             # must be one of them.
 #   tools/check.sh fuzz       # libFuzzer smoke over tests/corpus (clang);
 #                             # falls back to corpus replay under gcc.
 #                             # RSAFE_FUZZ_RUNS bounds the run (default 50000).
@@ -28,8 +31,8 @@
 #                             # BENCH_fleet.json (aggregate throughput and
 #                             # benign-tenant p99 regression thresholds).
 #   tools/check.sh ckpt       # checkpoint-storage gate: test_ckpt_store
-#                             # (dedup, compression A/B, writeback, wire
-#                             # restore) plus bench_ckpt --gate against the
+#                             # (dedup, compression A/B, wire restore)
+#                             # plus bench_ckpt --gate against the
 #                             # committed BENCH_ckpt.json (>=4x byte and
 #                             # image reductions, restore-latency ratio).
 #   tools/check.sh health     # health-plane smoke: test_health, then an
@@ -70,7 +73,8 @@ run_tidy() {
 
 run_knobs() {
     # Every RSAFE_NO_* environment switch the code reads is documented,
-    # and the README documents no switch the code no longer reads.
+    # the README documents no switch the code no longer reads, and no
+    # other doc, script, CI step or test setenv names a retired one.
     read_knobs="$(grep -rhoE 'getenv\("RSAFE_NO_[A-Z_]+"' src |
                   grep -oE 'RSAFE_NO_[A-Z_]+' | sort -u)"
     doc_knobs="$(grep -oE 'RSAFE_NO_[A-Z_]+' README.md | sort -u)"
@@ -81,8 +85,24 @@ run_knobs() {
         echo "$doc_knobs" | sed 's/^/  /' >&2
         return 1
     fi
+    named="$({ grep -rhoE 'RSAFE_NO_[A-Z_]+' DESIGN.md \
+                   .claude/skills/verify/SKILL.md tools bench .github
+               grep -rhoE 'setenv\("RSAFE_NO_[A-Z_]+"' tests |
+                   grep -oE 'RSAFE_NO_[A-Z_]+'; } | sort -u)"
+    stale=0
+    for knob in $named; do
+        if ! echo "$read_knobs" | grep -qx "$knob"; then
+            echo "check.sh: $knob is named here but no longer read" \
+                 "under src/:" >&2
+            grep -rn "$knob" DESIGN.md .claude/skills/verify/SKILL.md \
+                tools bench .github tests | sed 's/^/  /' >&2
+            stale=1
+        fi
+    done
+    [ "$stale" -eq 0 ] || return 1
     echo "check.sh: runtime knobs ok ($(echo "$read_knobs" | wc -l)" \
-         "read under src/, the same set documented in README.md)"
+         "read under src/, the same set documented in README.md;" \
+         "no stale name in docs, tools, bench, CI or tests)"
 }
 
 run_fuzz() {
@@ -160,8 +180,8 @@ run_fleet() {
 
 run_ckpt() {
     # The checkpoint-storage gate: the ckpt_store unit suite (dedup
-    # refcount lifecycle, RSAFE_NO_CKPT_COMPRESS A/B determinism, async
-    # writeback, AR-boots-from-wire-image equivalence) plus the storage
+    # refcount lifecycle, RSAFE_NO_CKPT_COMPRESS A/B determinism,
+    # AR-boots-from-wire-image equivalence) plus the storage
     # benchmark measured fresh and compared against the committed
     # baseline. The byte/image reductions are deterministic functions of
     # the log and carry hard >=4x floors; only the restore-latency ratio
