@@ -14,136 +14,45 @@ namespace {
 using rnr::wire::PayloadKind;
 
 void
-put_u64(std::vector<std::uint8_t>* out, std::uint64_t value)
+put_addrs(rnr::wire::Writer& w, const std::vector<Addr>& addrs)
 {
-    for (int i = 0; i < 8; ++i)
-        out->push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+    w.u32(static_cast<std::uint32_t>(addrs.size()));
+    for (Addr addr : addrs)
+        w.u64(addr);
 }
 
 void
-put_u32(std::vector<std::uint8_t>* out, std::uint32_t value)
+put_regions(rnr::wire::Writer& w, const std::vector<Region>& regions)
 {
-    for (int i = 0; i < 4; ++i)
-        out->push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-}
-
-void
-put_regions(std::vector<std::uint8_t>* out, const std::vector<Region>& regions)
-{
-    put_u32(out, static_cast<std::uint32_t>(regions.size()));
+    w.u32(static_cast<std::uint32_t>(regions.size()));
     for (const Region& r : regions) {
-        put_u64(out, r.begin);
-        put_u64(out, r.end);
+        w.u64(r.begin);
+        w.u64(r.end);
     }
 }
 
-/** Bounds-checked little-endian reader over one frame. */
-class Cursor {
-  public:
-    Cursor(const std::uint8_t* data, std::size_t size)
-        : data_(data), size_(size)
-    {
-    }
+void
+get_addrs(rnr::wire::Reader& in, std::vector<Addr>* out)
+{
+    out->resize(in.count(8));
+    for (Addr& addr : *out)
+        addr = in.u64();
+}
 
-    Status
-    u8(std::uint8_t* out)
-    {
-        if (size_ - pos_ < 1)
-            return truncated("u8");
-        *out = data_[pos_++];
-        return Status();
-    }
-
-    Status
-    u32(std::uint32_t* out)
-    {
-        if (size_ - pos_ < 4)
-            return truncated("u32");
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 4;
-        *out = v;
-        return Status();
-    }
-
-    Status
-    u64(std::uint64_t* out)
-    {
-        if (size_ - pos_ < 8)
-            return truncated("u64");
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 8;
-        *out = v;
-        return Status();
-    }
-
-    Status
-    addr_list(std::vector<Addr>* out)
-    {
-        std::uint32_t count = 0;
-        Status s;
-        if (!(s = u32(&count)).ok())
-            return s;
-        if (static_cast<std::size_t>(count) * 8 > size_ - pos_) {
-            return Status(StatusCode::kMalformedRecord,
-                          strcat_args("policy frame declares ", count,
-                                      " addresses but only ", size_ - pos_,
-                                      " bytes remain"));
+void
+get_regions(rnr::wire::Reader& in, std::vector<Region>* out)
+{
+    out->resize(in.count(16));
+    for (std::size_t i = 0; i < out->size(); ++i) {
+        Region& r = (*out)[i];
+        r.begin = in.u64();
+        r.end = in.u64();
+        if (r.end < r.begin) {
+            in.fail(StatusCode::kMalformedRecord,
+                    strcat_args("policy region ", i, " has inverted bounds"));
         }
-        out->resize(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-            if (!(s = u64(&(*out)[i])).ok())
-                return s;
-        }
-        return Status();
     }
-
-    Status
-    region_list(std::vector<Region>* out)
-    {
-        std::uint32_t count = 0;
-        Status s;
-        if (!(s = u32(&count)).ok())
-            return s;
-        if (static_cast<std::size_t>(count) * 16 > size_ - pos_) {
-            return Status(StatusCode::kMalformedRecord,
-                          strcat_args("policy frame declares ", count,
-                                      " regions but only ", size_ - pos_,
-                                      " bytes remain"));
-        }
-        out->resize(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-            if (!(s = u64(&(*out)[i].begin)).ok())
-                return s;
-            if (!(s = u64(&(*out)[i].end)).ok())
-                return s;
-            if ((*out)[i].end < (*out)[i].begin) {
-                return Status(StatusCode::kMalformedRecord,
-                              strcat_args("policy region ", i,
-                                          " has inverted bounds"));
-            }
-        }
-        return Status();
-    }
-
-    bool exhausted() const { return pos_ == size_; }
-
-  private:
-    Status
-    truncated(const char* what) const
-    {
-        return Status(StatusCode::kTruncated,
-                      strcat_args("policy frame ends mid-", what,
-                                  " at byte ", pos_, " of ", size_));
-    }
-
-    const std::uint8_t* data_;
-    std::size_t size_;
-    std::size_t pos_ = 0;
-};
+}
 
 constexpr std::uint8_t kFlagIsCall = 1u << 0;
 constexpr std::uint8_t kFlagResolved = 1u << 1;
@@ -193,14 +102,13 @@ StaticPolicy::serialize() const
     // carry one CFI site each, so a damaged site frame loses only that
     // site's policy.
     std::vector<std::uint8_t> head;
-    put_u32(&head, static_cast<std::uint32_t>(sites.size()));
-    head.push_back(unbounded_store ? 1 : 0);
-    put_u32(&head, static_cast<std::uint32_t>(fallback.size()));
-    for (Addr addr : fallback)
-        put_u64(&head, addr);
-    put_regions(&head, code);
-    put_regions(&head, written);
-    put_regions(&head, jit);
+    rnr::wire::Writer w(&head);
+    w.u32(static_cast<std::uint32_t>(sites.size()));
+    w.flag(unbounded_store);
+    put_addrs(w, fallback);
+    put_regions(w, code);
+    put_regions(w, written);
+    put_regions(w, jit);
 
     std::vector<std::uint8_t> out;
     rnr::wire::Header header;
@@ -211,16 +119,11 @@ StaticPolicy::serialize() const
     for (std::size_t i = 0; i < sites.size(); ++i) {
         const IndirectSite& site = sites[i];
         std::vector<std::uint8_t> frame;
-        put_u64(&frame, site.site);
-        std::uint8_t flags = 0;
-        if (site.is_call)
-            flags |= kFlagIsCall;
-        if (site.resolved)
-            flags |= kFlagResolved;
-        frame.push_back(flags);
-        put_u32(&frame, static_cast<std::uint32_t>(site.targets.size()));
-        for (Addr target : site.targets)
-            put_u64(&frame, target);
+        rnr::wire::Writer fw(&frame);
+        fw.u64(site.site);
+        fw.u8((site.is_call ? kFlagIsCall : 0) |
+              (site.resolved ? kFlagResolved : 0));
+        put_addrs(fw, site.targets);
         rnr::wire::append_frame(static_cast<std::uint32_t>(i + 1),
                                 frame.data(), frame.size(), &out);
     }
@@ -236,78 +139,53 @@ StaticPolicy::deserialize(const std::vector<std::uint8_t>& bytes,
     Addr last_site = 0;
     const auto report = rnr::wire::read_frames(
         bytes, PayloadKind::kPolicyTable,
-        [&](std::uint64_t seq, std::size_t offset,
-            std::size_t length) -> Status {
-            Cursor cursor(bytes.data() + offset, length);
-            Status s;
+        [&](std::uint64_t seq, rnr::wire::Reader& frame) -> Status {
             if (seq == 0) {
-                std::uint8_t unbounded = 0;
-                if (!(s = cursor.u32(&declared_sites)).ok())
-                    return s;
-                if (!(s = cursor.u8(&unbounded)).ok())
-                    return s;
-                if (!(s = cursor.addr_list(&out->fallback)).ok())
-                    return s;
-                if (!(s = cursor.region_list(&out->code)).ok())
-                    return s;
-                if (!(s = cursor.region_list(&out->written)).ok())
-                    return s;
-                if (!(s = cursor.region_list(&out->jit)).ok())
-                    return s;
+                declared_sites = frame.u32();
+                out->unbounded_store = frame.flag();
+                get_addrs(frame, &out->fallback);
+                get_regions(frame, &out->code);
+                get_regions(frame, &out->written);
+                get_regions(frame, &out->jit);
                 if (!std::is_sorted(out->fallback.begin(),
                                     out->fallback.end())) {
-                    return Status(StatusCode::kMalformedRecord,
-                                  "policy fallback set is not sorted");
+                    frame.fail(StatusCode::kMalformedRecord,
+                               "policy fallback set is not sorted");
                 }
-                out->unbounded_store = unbounded != 0;
-                out->sites.reserve(declared_sites);
-            } else {
-                IndirectSite site;
-                std::uint8_t flags = 0;
-                std::uint32_t count = 0;
-                if (!(s = cursor.u64(&site.site)).ok())
-                    return s;
-                if (!(s = cursor.u8(&flags)).ok())
-                    return s;
-                if ((flags & ~(kFlagIsCall | kFlagResolved)) != 0) {
-                    return Status(StatusCode::kMalformedRecord,
-                                  strcat_args("policy site frame ", seq,
-                                              ": bad flags ", flags));
-                }
-                if (!(s = cursor.u32(&count)).ok())
-                    return s;
-                site.is_call = (flags & kFlagIsCall) != 0;
-                site.resolved = (flags & kFlagResolved) != 0;
-                site.targets.resize(count);
-                for (std::uint32_t i = 0; i < count; ++i) {
-                    if (!(s = cursor.u64(&site.targets[i])).ok())
-                        return s;
-                }
-                if (!site.resolved && !site.targets.empty()) {
-                    return Status(StatusCode::kMalformedRecord,
-                                  strcat_args("policy site frame ", seq,
-                                              ": unresolved site carries "
-                                              "targets"));
-                }
-                if (!std::is_sorted(site.targets.begin(),
-                                    site.targets.end())) {
-                    return Status(StatusCode::kMalformedRecord,
-                                  strcat_args("policy site frame ", seq,
-                                              ": target set not sorted"));
-                }
-                if (!out->sites.empty() && site.site <= last_site) {
-                    return Status(StatusCode::kMalformedRecord,
-                                  strcat_args("policy site frame ", seq,
-                                              ": sites out of order"));
-                }
-                last_site = site.site;
-                out->sites.push_back(std::move(site));
+                return frame.status();
             }
-            if (!cursor.exhausted()) {
+            IndirectSite site;
+            site.site = frame.u64();
+            const std::uint8_t flags = frame.u8();
+            if ((flags & ~(kFlagIsCall | kFlagResolved)) != 0) {
+                return frame.fail(StatusCode::kMalformedRecord,
+                                  strcat_args("policy site frame ", seq,
+                                              ": bad flags ",
+                                              static_cast<unsigned>(flags)));
+            }
+            site.is_call = (flags & kFlagIsCall) != 0;
+            site.resolved = (flags & kFlagResolved) != 0;
+            get_addrs(frame, &site.targets);
+            if (!frame.ok())
+                return frame.status();
+            if (!site.resolved && !site.targets.empty()) {
                 return Status(StatusCode::kMalformedRecord,
-                              strcat_args("policy frame ", seq,
-                                          " carries trailing bytes"));
+                              strcat_args("policy site frame ", seq,
+                                          ": unresolved site carries "
+                                          "targets"));
             }
+            if (!std::is_sorted(site.targets.begin(), site.targets.end())) {
+                return Status(StatusCode::kMalformedRecord,
+                              strcat_args("policy site frame ", seq,
+                                          ": target set not sorted"));
+            }
+            if (!out->sites.empty() && site.site <= last_site) {
+                return Status(StatusCode::kMalformedRecord,
+                              strcat_args("policy site frame ", seq,
+                                          ": sites out of order"));
+            }
+            last_site = site.site;
+            out->sites.push_back(std::move(site));
             return Status();
         });
     if (!report.status.ok())

@@ -14,99 +14,6 @@ using rnr::wire::PayloadKind;
 /** Upper bound on an embedded string (decode sanity check). */
 constexpr std::uint32_t kMaxStringLength = 1u << 16;
 
-void
-put_u64(std::vector<std::uint8_t>* out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out->push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void
-put_u32(std::vector<std::uint8_t>* out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out->push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void
-put_string(std::vector<std::uint8_t>* out, const std::string& s)
-{
-    put_u32(out, static_cast<std::uint32_t>(s.size()));
-    out->insert(out->end(), s.begin(), s.end());
-}
-
-/** A bounds-checked little-endian reader over one frame payload. */
-class Cursor {
-  public:
-    Cursor(const std::uint8_t* data, std::size_t size)
-        : data_(data), size_(size)
-    {
-    }
-
-    Status u8(std::uint8_t* out)
-    {
-        if (pos_ + 1 > size_)
-            return truncated("u8");
-        *out = data_[pos_++];
-        return Status();
-    }
-
-    Status u32(std::uint32_t* out)
-    {
-        if (pos_ + 4 > size_)
-            return truncated("u32");
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 4;
-        *out = v;
-        return Status();
-    }
-
-    Status u64(std::uint64_t* out)
-    {
-        if (pos_ + 8 > size_)
-            return truncated("u64");
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 8;
-        *out = v;
-        return Status();
-    }
-
-    Status string(std::string* out)
-    {
-        std::uint32_t len = 0;
-        if (Status s = u32(&len); !s.ok())
-            return s;
-        if (len > kMaxStringLength) {
-            return Status(StatusCode::kMalformedRecord,
-                          strcat_args("forensic string length ", len,
-                                      " exceeds cap ", kMaxStringLength));
-        }
-        if (pos_ + len > size_)
-            return truncated("string body");
-        out->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-        pos_ += len;
-        return Status();
-    }
-
-    bool exhausted() const { return pos_ == size_; }
-
-  private:
-    Status truncated(const char* what) const
-    {
-        return Status(StatusCode::kTruncated,
-                      strcat_args("forensic frame ends mid-", what,
-                                  " at byte ", pos_, " of ", size_));
-    }
-
-    const std::uint8_t* data_;
-    std::size_t size_;
-    std::size_t pos_ = 0;
-};
-
 /** Append @p text JSON-escaped. */
 void
 append_escaped(std::string* out, const std::string& text)
@@ -154,23 +61,24 @@ ForensicReport::serialize() const
     // Frame 0 carries the scalar/string fields; frames 1..N carry one
     // gadget each, so a damaged gadget frame loses only that link.
     std::vector<std::uint8_t> head;
-    put_u64(&head, log_index);
-    put_u64(&head, icount);
-    head.push_back(is_attack ? 1 : 0);
-    head.push_back(kernel_mode ? 1 : 0);
-    put_string(&head, cause);
-    put_u64(&head, ret_pc);
-    put_string(&head, faulting_function);
-    put_u64(&head, function_begin);
-    put_u64(&head, function_end);
-    put_u64(&head, expected_target);
-    put_string(&head, call_site_function);
-    put_u64(&head, actual_target);
-    put_string(&head, target_function);
-    put_u64(&head, static_cast<std::uint64_t>(tid));
-    put_u64(&head, shadow_depth);
-    put_u64(&head, static_cast<std::uint64_t>(shadow_delta));
-    put_u64(&head, threads_tracked);
+    rnr::wire::Writer w(&head);
+    w.u64(log_index);
+    w.u64(icount);
+    w.flag(is_attack);
+    w.flag(kernel_mode);
+    w.string(cause);
+    w.u64(ret_pc);
+    w.string(faulting_function);
+    w.u64(function_begin);
+    w.u64(function_end);
+    w.u64(expected_target);
+    w.string(call_site_function);
+    w.u64(actual_target);
+    w.string(target_function);
+    w.u64(static_cast<std::uint64_t>(tid));
+    w.u64(shadow_depth);
+    w.u64(static_cast<std::uint64_t>(shadow_delta));
+    w.u64(threads_tracked);
 
     std::vector<std::uint8_t> out;
     rnr::wire::Header header;
@@ -180,10 +88,11 @@ ForensicReport::serialize() const
     rnr::wire::append_frame(0, head.data(), head.size(), &out);
     for (std::size_t i = 0; i < gadgets.size(); ++i) {
         std::vector<std::uint8_t> frame;
-        put_u64(&frame, gadgets[i].pc);
-        frame.push_back(static_cast<std::uint8_t>(gadgets[i].cls));
-        put_string(&frame, gadgets[i].disasm);
-        put_string(&frame, gadgets[i].function);
+        rnr::wire::Writer fw(&frame);
+        fw.u64(gadgets[i].pc);
+        fw.u8(static_cast<std::uint8_t>(gadgets[i].cls));
+        fw.string(gadgets[i].disasm);
+        fw.string(gadgets[i].function);
         rnr::wire::append_frame(static_cast<std::uint32_t>(i + 1),
                                 frame.data(), frame.size(), &out);
     }
@@ -197,61 +106,41 @@ ForensicReport::deserialize(const std::vector<std::uint8_t>& bytes,
     *out = ForensicReport();
     const auto report = rnr::wire::read_frames(
         bytes, PayloadKind::kForensicReport,
-        [&](std::uint64_t seq, std::size_t offset,
-            std::size_t length) -> Status {
-            Cursor cursor(bytes.data() + offset, length);
+        [&](std::uint64_t seq, rnr::wire::Reader& frame) -> Status {
             if (seq == 0) {
-                std::uint8_t attack = 0;
-                std::uint8_t kernel = 0;
-                std::uint64_t tid64 = 0;
-                std::uint64_t delta64 = 0;
-                Status s;
-                if (!(s = cursor.u64(&out->log_index)).ok()) return s;
-                if (!(s = cursor.u64(&out->icount)).ok()) return s;
-                if (!(s = cursor.u8(&attack)).ok()) return s;
-                if (!(s = cursor.u8(&kernel)).ok()) return s;
-                if (!(s = cursor.string(&out->cause)).ok()) return s;
-                if (!(s = cursor.u64(&out->ret_pc)).ok()) return s;
-                if (!(s = cursor.string(&out->faulting_function)).ok())
-                    return s;
-                if (!(s = cursor.u64(&out->function_begin)).ok()) return s;
-                if (!(s = cursor.u64(&out->function_end)).ok()) return s;
-                if (!(s = cursor.u64(&out->expected_target)).ok()) return s;
-                if (!(s = cursor.string(&out->call_site_function)).ok())
-                    return s;
-                if (!(s = cursor.u64(&out->actual_target)).ok()) return s;
-                if (!(s = cursor.string(&out->target_function)).ok())
-                    return s;
-                if (!(s = cursor.u64(&tid64)).ok()) return s;
-                if (!(s = cursor.u64(&out->shadow_depth)).ok()) return s;
-                if (!(s = cursor.u64(&delta64)).ok()) return s;
-                if (!(s = cursor.u64(&out->threads_tracked)).ok()) return s;
-                out->is_attack = attack != 0;
-                out->kernel_mode = kernel != 0;
-                out->tid = static_cast<ThreadId>(tid64);
-                out->shadow_delta = static_cast<std::int64_t>(delta64);
-            } else {
-                GadgetInfo gadget;
-                std::uint8_t cls = 0;
-                Status s;
-                if (!(s = cursor.u64(&gadget.pc)).ok()) return s;
-                if (!(s = cursor.u8(&cls)).ok()) return s;
-                if (cls > static_cast<std::uint8_t>(GadgetClass::kSystem)) {
-                    return Status(StatusCode::kMalformedRecord,
+                out->log_index = frame.u64();
+                out->icount = frame.u64();
+                out->is_attack = frame.flag();
+                out->kernel_mode = frame.flag();
+                out->cause = frame.string(kMaxStringLength);
+                out->ret_pc = frame.u64();
+                out->faulting_function = frame.string(kMaxStringLength);
+                out->function_begin = frame.u64();
+                out->function_end = frame.u64();
+                out->expected_target = frame.u64();
+                out->call_site_function = frame.string(kMaxStringLength);
+                out->actual_target = frame.u64();
+                out->target_function = frame.string(kMaxStringLength);
+                out->tid = static_cast<ThreadId>(frame.u64());
+                out->shadow_depth = frame.u64();
+                out->shadow_delta = static_cast<std::int64_t>(frame.u64());
+                out->threads_tracked = frame.u64();
+                return frame.status();
+            }
+            GadgetInfo gadget;
+            gadget.pc = frame.u64();
+            const std::uint8_t cls = frame.u8();
+            if (cls > static_cast<std::uint8_t>(GadgetClass::kSystem)) {
+                return frame.fail(StatusCode::kMalformedRecord,
                                   strcat_args("gadget frame ", seq,
-                                              ": bad class ", cls));
-                }
-                if (!(s = cursor.string(&gadget.disasm)).ok()) return s;
-                if (!(s = cursor.string(&gadget.function)).ok()) return s;
-                gadget.cls = static_cast<GadgetClass>(cls);
-                out->gadgets.push_back(std::move(gadget));
+                                              ": bad class ",
+                                              static_cast<unsigned>(cls)));
             }
-            if (!cursor.exhausted()) {
-                return Status(StatusCode::kMalformedRecord,
-                              strcat_args("forensic frame ", seq,
-                                          " carries trailing bytes"));
-            }
-            return Status();
+            gadget.cls = static_cast<GadgetClass>(cls);
+            gadget.disasm = frame.string(kMaxStringLength);
+            gadget.function = frame.string(kMaxStringLength);
+            out->gadgets.push_back(std::move(gadget));
+            return frame.status();
         });
     return report.status;
 }

@@ -326,38 +326,14 @@ digest_of(const Checkpoint& checkpoint)
     return digest;
 }
 
-namespace {
-
-/** Field order of the digest's single wire frame. */
-constexpr std::size_t kDigestWords = 8;
-
-void
-digest_fields(const CheckpointDigest& digest,
-              std::uint64_t (&fields)[kDigestWords])
-{
-    fields[0] = digest.id;
-    fields[1] = digest.icount;
-    fields[2] = digest.cycles;
-    fields[3] = digest.log_pos;
-    fields[4] = digest.cpu_hash;
-    fields[5] = digest.pages_hash;
-    fields[6] = digest.blocks_hash;
-    fields[7] = digest.ras_hash;
-}
-
-}  // namespace
-
 std::vector<std::uint8_t>
 CheckpointDigest::serialize() const
 {
-    std::uint64_t fields[kDigestWords];
-    digest_fields(*this, fields);
     std::vector<std::uint8_t> payload;
-    payload.reserve(kDigestWords * 8);
-    for (const std::uint64_t field : fields)
-        for (int i = 0; i < 8; ++i)
-            payload.push_back(
-                static_cast<std::uint8_t>((field >> (8 * i)) & 0xff));
+    wire::Writer w(&payload);
+    for (const std::uint64_t field : {id, icount, cycles, log_pos, cpu_hash,
+                                      pages_hash, blocks_hash, ras_hash})
+        w.u64(field);
 
     std::vector<std::uint8_t> out;
     wire::Header header;
@@ -375,33 +351,20 @@ CheckpointDigest::deserialize(const std::vector<std::uint8_t>& bytes,
     bool seen = false;
     const wire::LoadReport report = wire::read_frames(
         bytes, wire::PayloadKind::kCheckpointDigest,
-        [&](std::uint64_t seq, std::size_t offset, std::size_t length) {
+        [&](std::uint64_t, wire::Reader& frame) {
             if (seen)
                 return Status(StatusCode::kMalformedRecord,
                               "checkpoint digest has more than one frame");
-            if (length != kDigestWords * 8) {
-                return Status(
-                    StatusCode::kMalformedRecord,
-                    strcat_args("digest frame is ", length, " bytes, want ",
-                                kDigestWords * 8));
-            }
-            std::uint64_t fields[kDigestWords] = {};
-            for (std::size_t w = 0; w < kDigestWords; ++w)
-                for (int i = 0; i < 8; ++i)
-                    fields[w] |= static_cast<std::uint64_t>(
-                                     bytes[offset + w * 8 + i])
-                                 << (8 * i);
-            out->id = fields[0];
-            out->icount = fields[1];
-            out->cycles = fields[2];
-            out->log_pos = fields[3];
-            out->cpu_hash = fields[4];
-            out->pages_hash = fields[5];
-            out->blocks_hash = fields[6];
-            out->ras_hash = fields[7];
+            out->id = frame.u64();
+            out->icount = frame.u64();
+            out->cycles = frame.u64();
+            out->log_pos = frame.u64();
+            out->cpu_hash = frame.u64();
+            out->pages_hash = frame.u64();
+            out->blocks_hash = frame.u64();
+            out->ras_hash = frame.u64();
             seen = true;
-            (void)seq;
-            return Status();
+            return frame.status();
         });
     if (!report.intact())
         return report.status;

@@ -16,144 +16,36 @@ namespace {
 
 namespace wire = rnr::wire;
 
-// ---------------------------------------------------------------------
-// Little-endian field helpers (the meta frame is a flat u8/u32/u64
-// stream; the strict cursor makes every read bounds-checked).
-
-void
-put_u32(std::vector<std::uint8_t>* out, std::uint32_t value)
-{
-    for (int i = 0; i < 4; ++i)
-        out->push_back(static_cast<std::uint8_t>((value >> (8 * i)) & 0xff));
-}
-
-void
-put_u64(std::vector<std::uint8_t>* out, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i)
-        out->push_back(static_cast<std::uint8_t>((value >> (8 * i)) & 0xff));
-}
-
-void
-put_flag(std::vector<std::uint8_t>* out, bool value)
-{
-    put_u64(out, value ? 1 : 0);
-}
-
-/** Bounds-checked reader over one frame's payload. */
-class Cursor {
-  public:
-    Cursor(const std::uint8_t* data, std::size_t len)
-        : data_(data), len_(len)
-    {
-    }
-
-    std::size_t remaining() const { return len_ - pos_; }
-
-    Status u32(std::uint32_t* out)
-    {
-        if (remaining() < 4)
-            return truncated("u32");
-        *out = 0;
-        for (int i = 0; i < 4; ++i)
-            *out |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 4;
-        return Status();
-    }
-
-    Status u64(std::uint64_t* out)
-    {
-        if (remaining() < 8)
-            return truncated("u64");
-        *out = 0;
-        for (int i = 0; i < 8; ++i)
-            *out |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 8;
-        return Status();
-    }
-
-    /** A u64 that must be exactly 0 or 1 (strict boolean). */
-    Status flag(bool* out)
-    {
-        std::uint64_t value = 0;
-        if (const Status status = u64(&value); !status.ok())
-            return status;
-        if (value > 1)
-            return Status(StatusCode::kMalformedRecord,
-                          strcat_args("checkpoint image flag is ", value,
-                                      ", want 0 or 1"));
-        *out = value != 0;
-        return Status();
-    }
-
-    Status bytes(std::uint8_t* out, std::size_t n)
-    {
-        if (remaining() < n)
-            return truncated("byte run");
-        std::memcpy(out, data_ + pos_, n);
-        pos_ += n;
-        return Status();
-    }
-
-    Status done() const
-    {
-        if (pos_ != len_)
-            return Status(StatusCode::kMalformedRecord,
-                          strcat_args("checkpoint image frame has ",
-                                      len_ - pos_, " trailing bytes"));
-        return Status();
-    }
-
-  private:
-    Status truncated(const char* what) const
-    {
-        return Status(StatusCode::kMalformedRecord,
-                      strcat_args("checkpoint image field (", what,
-                                  ") overruns its frame"));
-    }
-
-    const std::uint8_t* data_;
-    std::size_t len_;
-    std::size_t pos_ = 0;
-};
+/** The image's boolean width: every flag is a u64 0 or 1. */
+using Flag = std::uint64_t;
 
 // ---------------------------------------------------------------------
 // SavedRas encoding.
 
 void
-put_saved_ras(std::vector<std::uint8_t>* out, const cpu::SavedRas& ras)
+put_saved_ras(wire::Writer& w, const cpu::SavedRas& ras)
 {
-    put_u64(out, ras.entries.size());
+    w.u64(ras.entries.size());
     for (const auto& entry : ras.entries) {
-        put_u64(out, entry.addr);
-        put_flag(out, entry.restored);
+        w.u64(entry.addr);
+        w.flag<Flag>(entry.restored);
     }
 }
 
-Status
-get_saved_ras(Cursor* cursor, cpu::SavedRas* out)
+void
+get_saved_ras(wire::Reader& r, cpu::SavedRas* out)
 {
-    std::uint64_t count = 0;
-    if (const Status status = cursor->u64(&count); !status.ok())
-        return status;
     // Every entry is 16 bytes; a count the frame cannot possibly hold is
     // a lying length, rejected before the reserve below can OOM.
-    if (count > kMaxImageRasEntries || count * 16 > cursor->remaining())
-        return Status(StatusCode::kMalformedRecord,
-                      strcat_args("checkpoint image claims ", count,
-                                  " RAS entries, frame cannot hold them"));
+    const auto count = r.count<std::uint64_t>(16, kMaxImageRasEntries);
     out->entries.clear();
     out->entries.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         cpu::RasEntry entry;
-        if (const Status status = cursor->u64(&entry.addr); !status.ok())
-            return status;
-        if (const Status status = cursor->flag(&entry.restored);
-            !status.ok())
-            return status;
+        entry.addr = r.u64();
+        entry.restored = r.flag<Flag>();
         out->entries.push_back(entry);
     }
-    return Status();
 }
 
 // ---------------------------------------------------------------------
@@ -163,205 +55,142 @@ std::vector<std::uint8_t>
 encode_meta(const Checkpoint& ck, std::uint64_t unique_count)
 {
     std::vector<std::uint8_t> meta;
-    put_u64(&meta, ck.id);
-    put_u64(&meta, ck.icount);
-    put_u64(&meta, ck.cycles);
-    put_u64(&meta, ck.log_pos);
-    put_u64(&meta, ck.copies);
+    wire::Writer w(&meta);
+    w.u64(ck.id);
+    w.u64(ck.icount);
+    w.u64(ck.cycles);
+    w.u64(ck.log_pos);
+    w.u64(ck.copies);
 
-    put_u64(&meta, isa::kNumRegs);
+    w.u64(isa::kNumRegs);
     for (const Word reg : ck.cpu_state.regs)
-        put_u64(&meta, reg);
-    put_u64(&meta, ck.cpu_state.pc);
-    put_u64(&meta, ck.cpu_state.sp);
-    put_u64(&meta, static_cast<std::uint64_t>(ck.cpu_state.mode));
-    put_flag(&meta, ck.cpu_state.iflag);
-    put_flag(&meta, ck.cpu_state.halted);
-    put_u64(&meta, ck.pending_irq ? 0x100u + *ck.pending_irq : 0);
+        w.u64(reg);
+    w.u64(ck.cpu_state.pc);
+    w.u64(ck.cpu_state.sp);
+    w.u64(static_cast<std::uint64_t>(ck.cpu_state.mode));
+    w.flag<Flag>(ck.cpu_state.iflag);
+    w.flag<Flag>(ck.cpu_state.halted);
+    w.u64(ck.pending_irq ? 0x100u + *ck.pending_irq : 0);
 
-    put_flag(&meta, ck.blockdev.busy);
-    put_flag(&meta, ck.blockdev.is_read);
-    put_u64(&meta, ck.blockdev.block);
-    put_u64(&meta, ck.blockdev.guest_addr);
-    put_u64(&meta, ck.blockdev.cmd_block);
-    put_u64(&meta, ck.blockdev.cmd_addr);
-    put_u64(&meta, ck.blockdev.write_payload.size());
-    meta.insert(meta.end(), ck.blockdev.write_payload.begin(),
-                ck.blockdev.write_payload.end());
+    w.flag<Flag>(ck.blockdev.busy);
+    w.flag<Flag>(ck.blockdev.is_read);
+    w.u64(ck.blockdev.block);
+    w.u64(ck.blockdev.guest_addr);
+    w.u64(ck.blockdev.cmd_block);
+    w.u64(ck.blockdev.cmd_addr);
+    w.u64(ck.blockdev.write_payload.size());
+    w.bytes(ck.blockdev.write_payload);
 
-    put_saved_ras(&meta, ck.ras);
-    put_u64(&meta, ck.backras.size());
+    put_saved_ras(w, ck.ras);
+    w.u64(ck.backras.size());
     for (const auto& [tid, saved] : ck.backras) {
-        put_u64(&meta, tid);
-        put_saved_ras(&meta, saved);
+        w.u64(tid);
+        put_saved_ras(w, saved);
     }
-    put_u64(&meta, ck.current_tid);
-    put_flag(&meta, ck.have_current_tid);
-    put_flag(&meta, ck.context_dying);
+    w.u64(ck.current_tid);
+    w.flag<Flag>(ck.have_current_tid);
+    w.flag<Flag>(ck.context_dying);
 
-    put_u64(&meta, ck.pages.size());
-    put_u64(&meta, ck.blocks.size());
-    put_u64(&meta, unique_count);
+    w.u64(ck.pages.size());
+    w.u64(ck.blocks.size());
+    w.u64(unique_count);
     return meta;
 }
 
 Status
-decode_meta(const std::uint8_t* data, std::size_t len, Checkpoint* out,
-            std::uint64_t* unique_count)
+decode_meta(wire::Reader& r, Checkpoint* out, std::uint64_t* unique_count)
 {
-    Cursor cursor(data, len);
-    Status status;
-    if (!(status = cursor.u64(&out->id)).ok())
-        return status;
-    if (!(status = cursor.u64(&out->icount)).ok())
-        return status;
-    if (!(status = cursor.u64(&out->cycles)).ok())
-        return status;
-    std::uint64_t log_pos = 0;
-    if (!(status = cursor.u64(&log_pos)).ok())
-        return status;
-    out->log_pos = static_cast<std::size_t>(log_pos);
-    std::uint64_t copies = 0;
-    if (!(status = cursor.u64(&copies)).ok())
-        return status;
-    out->copies = static_cast<std::size_t>(copies);
+    out->id = r.u64();
+    out->icount = r.u64();
+    out->cycles = r.u64();
+    out->log_pos = static_cast<std::size_t>(r.u64());
+    out->copies = static_cast<std::size_t>(r.u64());
 
-    std::uint64_t num_regs = 0;
-    if (!(status = cursor.u64(&num_regs)).ok())
-        return status;
+    const std::uint64_t num_regs = r.u64();
     if (num_regs != isa::kNumRegs)
-        return Status(StatusCode::kMalformedRecord,
+        return r.fail(StatusCode::kMalformedRecord,
                       strcat_args("checkpoint image has ", num_regs,
                                   " registers, want ", isa::kNumRegs));
     for (auto& reg : out->cpu_state.regs)
-        if (!(status = cursor.u64(&reg)).ok())
-            return status;
-    if (!(status = cursor.u64(&out->cpu_state.pc)).ok())
-        return status;
-    if (!(status = cursor.u64(&out->cpu_state.sp)).ok())
-        return status;
-    std::uint64_t mode = 0;
-    if (!(status = cursor.u64(&mode)).ok())
-        return status;
+        reg = r.u64();
+    out->cpu_state.pc = r.u64();
+    out->cpu_state.sp = r.u64();
+    const std::uint64_t mode = r.u64();
     if (mode > static_cast<std::uint64_t>(cpu::Mode::kKernel))
-        return Status(StatusCode::kMalformedRecord,
+        return r.fail(StatusCode::kMalformedRecord,
                       strcat_args("checkpoint image mode ", mode,
                                   " is not a privilege mode"));
     out->cpu_state.mode = static_cast<cpu::Mode>(mode);
-    if (!(status = cursor.flag(&out->cpu_state.iflag)).ok())
-        return status;
-    if (!(status = cursor.flag(&out->cpu_state.halted)).ok())
-        return status;
-    std::uint64_t irq = 0;
-    if (!(status = cursor.u64(&irq)).ok())
-        return status;
+    out->cpu_state.iflag = r.flag<Flag>();
+    out->cpu_state.halted = r.flag<Flag>();
+    const std::uint64_t irq = r.u64();
     if (irq == 0) {
         out->pending_irq.reset();
     } else if (irq >= 0x100 && irq <= 0x1ff) {
         out->pending_irq = static_cast<std::uint8_t>(irq - 0x100);
     } else {
-        return Status(StatusCode::kMalformedRecord,
+        return r.fail(StatusCode::kMalformedRecord,
                       strcat_args("checkpoint image pending irq ", irq,
                                   " out of range"));
     }
 
-    if (!(status = cursor.flag(&out->blockdev.busy)).ok())
-        return status;
-    if (!(status = cursor.flag(&out->blockdev.is_read)).ok())
-        return status;
-    if (!(status = cursor.u64(&out->blockdev.block)).ok())
-        return status;
-    if (!(status = cursor.u64(&out->blockdev.guest_addr)).ok())
-        return status;
-    if (!(status = cursor.u64(&out->blockdev.cmd_block)).ok())
-        return status;
-    if (!(status = cursor.u64(&out->blockdev.cmd_addr)).ok())
-        return status;
-    std::uint64_t payload_len = 0;
-    if (!(status = cursor.u64(&payload_len)).ok())
-        return status;
-    if (payload_len > cursor.remaining())
-        return Status(StatusCode::kMalformedRecord,
-                      strcat_args("checkpoint image DMA payload of ",
-                                  payload_len, " bytes overruns its frame"));
-    out->blockdev.write_payload.resize(
-        static_cast<std::size_t>(payload_len));
-    if (payload_len > 0 &&
-        !(status = cursor.bytes(out->blockdev.write_payload.data(),
-                                static_cast<std::size_t>(payload_len)))
-             .ok())
-        return status;
+    out->blockdev.busy = r.flag<Flag>();
+    out->blockdev.is_read = r.flag<Flag>();
+    out->blockdev.block = r.u64();
+    out->blockdev.guest_addr = r.u64();
+    out->blockdev.cmd_block = r.u64();
+    out->blockdev.cmd_addr = r.u64();
+    const auto payload = r.bytes(r.count<std::uint64_t>(1));
+    out->blockdev.write_payload.assign(payload.begin(), payload.end());
 
-    if (!(status = get_saved_ras(&cursor, &out->ras)).ok())
-        return status;
-    std::uint64_t backras_count = 0;
-    if (!(status = cursor.u64(&backras_count)).ok())
-        return status;
+    get_saved_ras(r, &out->ras);
     // A thread entry is at least 16 bytes (tid + empty-RAS count).
-    if (backras_count > kMaxImageRasEntries ||
-        backras_count * 16 > cursor.remaining())
-        return Status(StatusCode::kMalformedRecord,
-                      strcat_args("checkpoint image claims ", backras_count,
-                                  " BackRAS threads, frame cannot hold"
-                                  " them"));
+    const auto backras_count =
+        r.count<std::uint64_t>(16, kMaxImageRasEntries);
     out->backras.clear();
     ThreadId prev_tid = 0;
     for (std::uint64_t i = 0; i < backras_count; ++i) {
-        std::uint64_t tid = 0;
-        if (!(status = cursor.u64(&tid)).ok())
-            return status;
+        const std::uint64_t tid = r.u64();
         if (tid > 0xffffffffull)
-            return Status(StatusCode::kMalformedRecord,
+            return r.fail(StatusCode::kMalformedRecord,
                           strcat_args("checkpoint image tid ", tid,
                                       " overflows ThreadId"));
         // std::map iteration order is ascending, so a canonical image
         // lists threads strictly ascending; anything else is a lying or
         // duplicated entry.
         if (i > 0 && static_cast<ThreadId>(tid) <= prev_tid)
-            return Status(StatusCode::kMalformedRecord,
+            return r.fail(StatusCode::kMalformedRecord,
                           "checkpoint image BackRAS threads out of order");
         prev_tid = static_cast<ThreadId>(tid);
-        cpu::SavedRas saved;
-        if (!(status = get_saved_ras(&cursor, &saved)).ok())
-            return status;
-        out->backras.emplace(prev_tid, std::move(saved));
+        get_saved_ras(r, &out->backras[prev_tid]);
     }
-    std::uint64_t current_tid = 0;
-    if (!(status = cursor.u64(&current_tid)).ok())
-        return status;
+    const std::uint64_t current_tid = r.u64();
     if (current_tid > 0xffffffffull)
-        return Status(StatusCode::kMalformedRecord,
+        return r.fail(StatusCode::kMalformedRecord,
                       "checkpoint image current tid overflows ThreadId");
     out->current_tid = static_cast<ThreadId>(current_tid);
-    if (!(status = cursor.flag(&out->have_current_tid)).ok())
-        return status;
-    if (!(status = cursor.flag(&out->context_dying)).ok())
-        return status;
+    out->have_current_tid = r.flag<Flag>();
+    out->context_dying = r.flag<Flag>();
 
-    std::uint64_t num_pages = 0;
-    std::uint64_t num_blocks = 0;
-    if (!(status = cursor.u64(&num_pages)).ok())
-        return status;
-    if (!(status = cursor.u64(&num_blocks)).ok())
-        return status;
+    const std::uint64_t num_pages = r.u64();
+    const std::uint64_t num_blocks = r.u64();
     if (num_pages > kMaxImageSlots || num_blocks > kMaxImageSlots ||
         num_pages + num_blocks > kMaxImageSlots)
-        return Status(StatusCode::kMalformedRecord,
+        return r.fail(StatusCode::kMalformedRecord,
                       strcat_args("checkpoint image geometry ", num_pages,
                                   "+", num_blocks, " slots exceeds the ",
                                   kMaxImageSlots, "-slot bound"));
     out->pages = StoredPageTable(static_cast<std::size_t>(num_pages));
     out->blocks = StoredPageTable(static_cast<std::size_t>(num_blocks));
-    if (!(status = cursor.u64(unique_count)).ok())
-        return status;
+    *unique_count = r.u64();
     // Every unique page must be referenced by a slot, so U can never
     // exceed the slot count (and a canonical image needs U frames).
     if (*unique_count > num_pages + num_blocks)
-        return Status(StatusCode::kMalformedRecord,
+        return r.fail(StatusCode::kMalformedRecord,
                       strcat_args("checkpoint image claims ", *unique_count,
                                   " unique pages for ",
                                   num_pages + num_blocks, " slots"));
-    return cursor.done();
+    return r.status();
 }
 
 }  // namespace
@@ -377,16 +206,17 @@ serialize_checkpoint(const Checkpoint& checkpoint)
     std::vector<std::uint8_t> slot_map;
     slot_map.reserve((checkpoint.pages.size() + checkpoint.blocks.size()) *
                      4);
+    wire::Writer slot_writer(&slot_map);
     const auto add_slot = [&](const StoredPageRef& ref) {
         if (!ref) {
-            put_u32(&slot_map, kNullSlot);
+            slot_writer.u32(kNullSlot);
             return;
         }
         const auto [it, inserted] = unique_index.emplace(
             ref.get(), static_cast<std::uint32_t>(uniques.size()));
         if (inserted)
             uniques.push_back(ref.get());
-        put_u32(&slot_map, it->second);
+        slot_writer.u32(it->second);
     };
     for (std::uint64_t i = 0; i < checkpoint.pages.size(); ++i)
         add_slot(checkpoint.pages.at(i));
@@ -407,9 +237,9 @@ serialize_checkpoint(const Checkpoint& checkpoint)
     for (std::size_t i = 0; i < uniques.size(); ++i) {
         const StoredPage* page = uniques[i];
         frame.clear();
-        frame.push_back(static_cast<std::uint8_t>(page->encoding()));
-        frame.insert(frame.end(), page->encoded().begin(),
-                     page->encoded().end());
+        wire::Writer w(&frame);
+        w.u8(static_cast<std::uint8_t>(page->encoding()));
+        w.bytes(page->encoded());
         wire::append_frame(static_cast<std::uint32_t>(2 + i), frame.data(),
                            frame.size(), &out);
     }
@@ -429,46 +259,29 @@ deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
 
     const wire::LoadReport report = wire::read_frames(
         bytes, wire::PayloadKind::kCheckpointImage,
-        [&](std::uint64_t seq, std::size_t offset, std::size_t length) {
-            const std::uint8_t* frame = bytes.data() + offset;
+        [&](std::uint64_t seq, wire::Reader& frame) {
             if (seq == 0) {
-                const Status status =
-                    decode_meta(frame, length, out, &unique_count);
-                if (status.ok())
-                    saw_meta = true;
+                const Status status = decode_meta(frame, out, &unique_count);
+                saw_meta = status.ok();
                 return status;
             }
             if (!saw_meta)
                 return Status(StatusCode::kMalformedRecord,
                               "checkpoint image frame before its meta");
             if (seq == 1) {
-                const std::uint64_t slot_count =
-                    out->pages.size() + out->blocks.size();
-                if (length != slot_count * 4) {
-                    return Status(
-                        StatusCode::kMalformedRecord,
-                        strcat_args("checkpoint image slot map is ",
-                                    length, " bytes, want ",
-                                    slot_count * 4));
-                }
-                slots.resize(static_cast<std::size_t>(slot_count));
+                slots.resize(out->pages.size() + out->blocks.size());
+                frame.array(std::span(slots));
                 for (std::size_t i = 0; i < slots.size(); ++i) {
-                    std::uint32_t value = 0;
-                    for (int b = 0; b < 4; ++b)
-                        value |= static_cast<std::uint32_t>(
-                                     frame[i * 4 + b])
-                                 << (8 * b);
-                    if (value != kNullSlot && value >= unique_count) {
-                        return Status(
+                    if (slots[i] != kNullSlot && slots[i] >= unique_count) {
+                        return frame.fail(
                             StatusCode::kMalformedRecord,
                             strcat_args("checkpoint image slot ", i,
-                                        " references unique page ", value,
-                                        " of ", unique_count));
+                                        " references unique page ",
+                                        slots[i], " of ", unique_count));
                     }
-                    slots[i] = value;
                 }
-                saw_slots = true;
-                return Status();
+                saw_slots = frame.ok();
+                return frame.status();
             }
             if (!saw_slots)
                 return Status(StatusCode::kMalformedRecord,
@@ -477,11 +290,12 @@ deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
                 return Status(StatusCode::kMalformedRecord,
                               strcat_args("checkpoint image has more than ",
                                           unique_count, " unique pages"));
-            if (length < 1)
-                return Status(StatusCode::kMalformedRecord,
-                              "checkpoint image page frame is empty");
-            const auto encoding = static_cast<PageEncoding>(frame[0]);
-            std::vector<std::uint8_t> encoded(frame + 1, frame + length);
+            const std::uint8_t encoding_byte = frame.u8();
+            const auto body = frame.rest();
+            if (!frame.ok())
+                return frame.status();
+            const auto encoding = static_cast<PageEncoding>(encoding_byte);
+            std::vector<std::uint8_t> encoded(body.begin(), body.end());
             std::uint8_t raw[kPageSize];
             if (encoding == PageEncoding::kRaw) {
                 if (encoded.size() != kPageSize) {
@@ -500,7 +314,8 @@ deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
             } else {
                 return Status(StatusCode::kMalformedRecord,
                               strcat_args("checkpoint image page encoding ",
-                                          frame[0], " is unknown"));
+                                          static_cast<unsigned>(encoding_byte),
+                                          " is unknown"));
             }
             uniques.push_back(std::make_shared<const StoredPage>(
                 encoding, std::move(encoded), page_is_zero(raw)));

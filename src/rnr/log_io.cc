@@ -25,22 +25,18 @@ parse_legacy_v1(const std::vector<std::uint8_t>& bytes, InputLog* out)
     wire::LoadReport report;
     report.version = 1;
     report.bytes_total = bytes.size();
-    if (bytes.size() < 16) {
-        report.status =
-            Status(StatusCode::kTruncated,
-                   strcat_args("legacy v1 image is ", bytes.size(),
-                               " bytes, header needs 16"));
+    wire::Reader in(bytes.data(), bytes.size(), "legacy v1 log");
+    in.u64();  // magic, already matched
+    const std::uint64_t count = in.u64();
+    if (!in.ok()) {
+        report.status = in.status();
         return report;
     }
-    std::uint64_t count = 0;
-    for (int i = 0; i < 8; ++i)
-        count |= static_cast<std::uint64_t>(bytes[8 + i]) << (8 * i);
     report.frames_declared = count;
-    std::size_t pos = 16;
     for (std::uint64_t i = 0; i < count; ++i) {
-        report.corrupt_offset = pos;
+        report.corrupt_offset = in.pos();
         LogRecord record;
-        const Status status = LogRecord::decode(bytes, &pos, &record);
+        const Status status = LogRecord::decode(in, &record);
         if (!status.ok()) {
             report.status =
                 Status(status.code(),
@@ -51,11 +47,11 @@ parse_legacy_v1(const std::vector<std::uint8_t>& bytes, InputLog* out)
         out->append(std::move(record));
         ++report.frames_recovered;
     }
-    report.corrupt_offset = pos;
-    if (pos != bytes.size()) {
+    report.corrupt_offset = in.pos();
+    if (in.remaining() != 0) {
         report.status = Status(
             StatusCode::kTrailingBytes,
-            strcat_args(bytes.size() - pos,
+            strcat_args(in.remaining(),
                         " bytes of trailing garbage after legacy v1 log"));
     }
     return report;
@@ -138,38 +134,26 @@ InputLog::deserialize_tolerant(const std::vector<std::uint8_t>& bytes,
 
     // Legacy v1 images carry their own magic; route them to the
     // unchecksummed parser (and flag version 1 in the report).
-    if (bytes.size() >= 8) {
-        std::uint64_t magic = 0;
-        for (int i = 0; i < 8; ++i)
-            magic |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
-        if (magic == kLogMagicV1) {
-            auto report = parse_legacy_v1(bytes, out);
-            if (!report.intact()) {
-                obs::Tracer::instance().instant(
-                    "wire.integrity_failure", "wire", "recovered",
-                    report.frames_recovered);
-            }
-            return report;
+    if (wire::Reader(bytes.data(), bytes.size(), "log magic").u64() ==
+        kLogMagicV1) {
+        auto report = parse_legacy_v1(bytes, out);
+        if (!report.intact()) {
+            obs::Tracer::instance().instant("wire.integrity_failure",
+                                            "wire", "recovered",
+                                            report.frames_recovered);
         }
+        return report;
     }
 
     auto report = wire::read_frames(
         bytes, wire::PayloadKind::kInputLog,
-        [&](std::uint64_t seq, std::size_t offset, std::size_t length) {
-            std::size_t pos = offset;
+        [&](std::uint64_t seq, wire::Reader& frame) {
             LogRecord record;
-            const Status status = LogRecord::decode(bytes, &pos, &record);
+            const Status status = LogRecord::decode(frame, &record);
             if (!status.ok()) {
                 return Status(StatusCode::kMalformedRecord,
                               strcat_args("record #", seq, ": ",
                                           status.message()));
-            }
-            if (pos != offset + length) {
-                return Status(
-                    StatusCode::kMalformedRecord,
-                    strcat_args("record #", seq, ": frame is ", length,
-                                " bytes but record encoding is ",
-                                pos - offset));
             }
             out->append(std::move(record));
             return Status();

@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "cpu/cpu.h"
+#include "rnr/wire.h"
 
 /**
  * @file
@@ -82,17 +83,12 @@ struct LogRecord {
     void serialize(std::vector<std::uint8_t>* out) const;
 
     /**
-     * Decode one record from @p data at offset @p pos (advanced past the
-     * record). On malformed input the status says which field of which
-     * record type was truncated or out of range — forensic detail the
-     * wire-level LoadReport carries up to the framework.
+     * Decode one record from @p in (advanced past the record). On
+     * malformed input the status says where the record was truncated or
+     * which field is out of range — forensic detail the wire-level
+     * LoadReport carries up to the framework.
      */
-    static Status decode(const std::vector<std::uint8_t>& data,
-                         std::size_t* pos, LogRecord* out);
-
-    /** Boolean convenience wrapper around decode(). */
-    static bool deserialize(const std::vector<std::uint8_t>& data,
-                            std::size_t* pos, LogRecord* out);
+    static Status decode(wire::Reader& in, LogRecord* out);
 
     /** One-line human-readable rendering (diagnostics, forensics). */
     std::string to_string() const;

@@ -1,6 +1,8 @@
 #include "rnr/wire.h"
 
+#include <algorithm>
 #include <array>
+#include <utility>
 
 #include "common/log.h"
 
@@ -37,51 +39,6 @@ crc32c_tables()
     return tables;
 }
 
-void
-put_u16(std::vector<std::uint8_t>* out, std::uint16_t v)
-{
-    out->push_back(static_cast<std::uint8_t>(v & 0xff));
-    out->push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-}
-
-void
-put_u32(std::vector<std::uint8_t>* out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out->push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void
-put_u64(std::vector<std::uint8_t>* out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out->push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-std::uint16_t
-read_u16(const std::uint8_t* p)
-{
-    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t
-read_u32(const std::uint8_t* p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-read_u64(const std::uint8_t* p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
 /**
  * Raw (no init/final XOR) CRC update, for incremental use: slice-by-8
  * over whole 8-byte words, then the byte table for the tail. Bytes are
@@ -92,7 +49,11 @@ crc32c_update(std::uint32_t crc, const std::uint8_t* data, std::size_t len)
 {
     const auto& t = crc32c_tables();
     for (; len >= 8; data += 8, len -= 8) {
-        const std::uint32_t lo = crc ^ read_u32(data);
+        const std::uint32_t lo =
+            crc ^ (static_cast<std::uint32_t>(data[0]) |
+                   static_cast<std::uint32_t>(data[1]) << 8 |
+                   static_cast<std::uint32_t>(data[2]) << 16 |
+                   static_cast<std::uint32_t>(data[3]) << 24);
         crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
               t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^ t[3][data[4]] ^
               t[2][data[5]] ^ t[1][data[6]] ^ t[0][data[7]];
@@ -102,23 +63,123 @@ crc32c_update(std::uint32_t crc, const std::uint8_t* data, std::size_t len)
     return crc;
 }
 
-/** CRC32C of (seq ++ length ++ payload), the per-frame checksum. */
+/**
+ * CRC32C of (seq ++ length ++ payload), the per-frame checksum. The
+ * 8-byte (seq, length) prefix is read where the frame header stores it.
+ */
 std::uint32_t
-frame_crc(std::uint32_t seq, std::uint32_t length,
-          const std::uint8_t* payload)
+frame_crc(const std::uint8_t* prefix, const std::uint8_t* payload,
+          std::size_t length)
 {
-    std::uint8_t prefix[8];
-    for (int i = 0; i < 4; ++i)
-        prefix[i] = static_cast<std::uint8_t>((seq >> (8 * i)) & 0xff);
-    for (int i = 0; i < 4; ++i)
-        prefix[4 + i] = static_cast<std::uint8_t>((length >> (8 * i)) & 0xff);
     std::uint32_t crc = 0xffffffffu;
-    crc = crc32c_update(crc, prefix, sizeof(prefix));
+    crc = crc32c_update(crc, prefix, 8);
     crc = crc32c_update(crc, payload, length);
     return crc ^ 0xffffffffu;
 }
 
+/** The label a frame's Reader reports errors under. */
+const char*
+frame_label(PayloadKind kind)
+{
+    switch (kind) {
+      case PayloadKind::kInputLog: return "log record";
+      case PayloadKind::kCheckpointDigest: return "checkpoint digest frame";
+      case PayloadKind::kForensicReport: return "forensic frame";
+      case PayloadKind::kPolicyTable: return "policy frame";
+      case PayloadKind::kCheckpointImage: return "checkpoint image frame";
+      case PayloadKind::kFlightBox: return "flight frame";
+    }
+    return "frame";
+}
+
+/** The header fields at @p p (kHeaderSize bytes), unvalidated. */
+Header
+read_header(const std::uint8_t* p)
+{
+    Reader r(p, kHeaderSize, "wire header");
+    Header header;
+    header.magic = r.u64();
+    header.version = r.u16();
+    header.kind = static_cast<PayloadKind>(r.u16());
+    header.flags = r.u32();
+    header.frame_count = r.u64();
+    return header;
+}
+
 }  // namespace
+
+void
+Writer::string(const std::string& text)
+{
+    u32(static_cast<std::uint32_t>(text.size()));
+    out_->insert(out_->end(), text.begin(), text.end());
+}
+
+std::span<const std::uint8_t>
+Reader::bytes(std::size_t n)
+{
+    if (remaining() < n) {
+        overrun("byte run");
+        return {};
+    }
+    const std::span<const std::uint8_t> run(pos_, n);
+    pos_ += n;
+    return run;
+}
+
+std::string
+Reader::string(std::uint32_t max_len)
+{
+    const std::uint32_t len = u32();
+    if (len > max_len) {
+        fail(StatusCode::kMalformedRecord,
+             strcat_args(label_, " string of ", len, " bytes exceeds cap ",
+                         max_len));
+        return {};
+    }
+    const auto body = bytes(len);
+    return std::string(body.begin(), body.end());
+}
+
+const Status&
+Reader::fail(StatusCode code, std::string message)
+{
+    if (status_.ok()) {
+        status_ = Status(code, std::move(message));
+        end_ = pos_;
+    }
+    return status_;
+}
+
+void
+Reader::overrun(const char* what)
+{
+    if (status_.ok()) {
+        fail(StatusCode::kTruncated,
+             strcat_args(label_, " ends mid-", what, " at byte ", pos(),
+                         " of ", static_cast<std::size_t>(end_ - begin_)));
+    }
+}
+
+void
+Reader::bad_flag(std::uint64_t value)
+{
+    fail(StatusCode::kMalformedRecord,
+         strcat_args(label_, " flag is ", value, ", want 0 or 1"));
+}
+
+bool
+Reader::fits(std::uint64_t n, std::size_t elem_bytes, std::uint64_t cap)
+{
+    if (n > cap || n > remaining() / elem_bytes) {
+        fail(StatusCode::kMalformedRecord,
+             strcat_args(label_, " declares ", n, " ", elem_bytes,
+                         "-byte entries but only ", remaining(),
+                         " bytes remain"));
+        return false;
+    }
+    return true;
+}
 
 std::uint32_t
 crc32c(const std::uint8_t* data, std::size_t len)
@@ -156,13 +217,14 @@ void
 encode_header(const Header& header, std::vector<std::uint8_t>* out)
 {
     const std::size_t base = out->size();
-    put_u64(out, header.magic);
-    put_u16(out, header.version);
-    put_u16(out, static_cast<std::uint16_t>(header.kind));
-    put_u32(out, header.flags);
-    put_u64(out, header.frame_count);
-    put_u32(out, 0);  // reserved
-    put_u32(out, crc32c(out->data() + base, kHeaderSize - 4));
+    Writer w(out);
+    w.u64(header.magic);
+    w.u16(header.version);
+    w.u16(static_cast<std::uint16_t>(header.kind));
+    w.u32(header.flags);
+    w.u64(header.frame_count);
+    w.u32(0);  // reserved
+    w.u32(crc32c(out->data() + base, kHeaderSize - 4));
 }
 
 Status
@@ -173,29 +235,25 @@ decode_header(const std::vector<std::uint8_t>& bytes, Header* out)
                       strcat_args("image is ", bytes.size(),
                                   " bytes, wire header needs ", kHeaderSize));
     }
-    const std::uint8_t* p = bytes.data();
-    out->magic = read_u64(p);
+    *out = read_header(bytes.data());
     if (out->magic != kMagic) {
         return Status(StatusCode::kBadMagic,
                       strcat_args("bad magic 0x", std::hex, out->magic,
                                   ", expected 0x", kMagic, std::dec));
     }
-    out->version = read_u16(p + 8);
     if (out->version != kVersion) {
         return Status(StatusCode::kBadVersion,
                       strcat_args("image is wire version ", out->version,
                                   "; this build reads version ", kVersion));
     }
-    const std::uint32_t stored_crc = read_u32(p + kHeaderSize - 4);
-    const std::uint32_t actual_crc = crc32c(p, kHeaderSize - 4);
+    const std::uint32_t stored_crc =
+        Reader(bytes.data() + kHeaderSize - 4, 4, "wire header").u32();
+    const std::uint32_t actual_crc = crc32c(bytes.data(), kHeaderSize - 4);
     if (stored_crc != actual_crc) {
         return Status(StatusCode::kHeaderCorrupt,
                       strcat_args("header CRC 0x", std::hex, stored_crc,
                                   ", computed 0x", actual_crc, std::dec));
     }
-    out->kind = static_cast<PayloadKind>(read_u16(p + 10));
-    out->flags = read_u32(p + 12);
-    out->frame_count = read_u64(p + 16);
     return Status();
 }
 
@@ -206,11 +264,12 @@ append_frame(std::uint32_t seq, const std::uint8_t* payload, std::size_t len,
     if (len > kMaxFrameLength)
         panic(strcat_args("wire frame payload of ", len, " bytes exceeds ",
                           kMaxFrameLength));
-    const auto length = static_cast<std::uint32_t>(len);
-    put_u32(out, seq);
-    put_u32(out, length);
-    put_u32(out, frame_crc(seq, length, payload));
-    out->insert(out->end(), payload, payload + len);
+    const std::size_t base = out->size();
+    Writer w(out);
+    w.u32(seq);
+    w.u32(static_cast<std::uint32_t>(len));
+    w.u32(frame_crc(out->data() + base, payload, len));
+    w.bytes({payload, len});
 }
 
 Status
@@ -219,12 +278,11 @@ set_header_version(std::vector<std::uint8_t>* image, std::uint16_t version)
     if (image->size() < kHeaderSize)
         return Status(StatusCode::kInvalidArgument,
                       "image too short to carry a wire header");
-    (*image)[8] = static_cast<std::uint8_t>(version & 0xff);
-    (*image)[9] = static_cast<std::uint8_t>((version >> 8) & 0xff);
-    const std::uint32_t crc = crc32c(image->data(), kHeaderSize - 4);
-    for (int i = 0; i < 4; ++i)
-        (*image)[kHeaderSize - 4 + i] =
-            static_cast<std::uint8_t>((crc >> (8 * i)) & 0xff);
+    Header header = read_header(image->data());
+    header.version = version;
+    std::vector<std::uint8_t> sealed;
+    encode_header(header, &sealed);
+    std::copy(sealed.begin(), sealed.end(), image->begin());
     return Status();
 }
 
@@ -270,20 +328,21 @@ read_frames(const std::vector<std::uint8_t>& bytes, PayloadKind expected_kind,
         return report;
     }
 
-    std::size_t pos = kHeaderSize;
+    Reader image(bytes.data(), bytes.size(), "wire image");
+    image.bytes(kHeaderSize);
     for (std::uint64_t i = 0; i < header.frame_count; ++i) {
-        report.corrupt_offset = pos;
-        if (pos + kFrameHeaderSize > bytes.size()) {
+        report.corrupt_offset = image.pos();
+        if (image.remaining() < kFrameHeaderSize) {
             report.status = Status(
                 StatusCode::kTruncated,
                 strcat_args("record #", i, ": frame header truncated at byte ",
-                            pos, " of ", bytes.size()));
+                            image.pos(), " of ", bytes.size()));
             return report;
         }
-        const std::uint8_t* p = bytes.data() + pos;
-        const std::uint32_t seq = read_u32(p);
-        const std::uint32_t length = read_u32(p + 4);
-        const std::uint32_t stored_crc = read_u32(p + 8);
+        const std::uint8_t* prefix = bytes.data() + image.pos();
+        const std::uint32_t seq = image.u32();
+        const std::uint32_t length = image.u32();
+        const std::uint32_t stored_crc = image.u32();
         if (length > kMaxFrameLength) {
             report.status = Status(
                 StatusCode::kMalformedRecord,
@@ -291,16 +350,17 @@ read_frames(const std::vector<std::uint8_t>& bytes, PayloadKind expected_kind,
                             length));
             return report;
         }
-        if (pos + kFrameHeaderSize + length > bytes.size()) {
+        if (length > image.remaining()) {
             report.status = Status(
                 StatusCode::kTruncated,
                 strcat_args("record #", i, ": frame wants ", length,
-                            " payload bytes, only ",
-                            bytes.size() - pos - kFrameHeaderSize, " left"));
+                            " payload bytes, only ", image.remaining(),
+                            " left"));
             return report;
         }
-        const std::uint8_t* payload = p + kFrameHeaderSize;
-        const std::uint32_t actual_crc = frame_crc(seq, length, payload);
+        const auto payload = image.bytes(length);
+        const std::uint32_t actual_crc =
+            frame_crc(prefix, payload.data(), payload.size());
         if (stored_crc != actual_crc) {
             report.status = Status(
                 StatusCode::kChecksumMismatch,
@@ -318,20 +378,28 @@ read_frames(const std::vector<std::uint8_t>& bytes, PayloadKind expected_kind,
                                   ": frame carries sequence number ", seq));
             return report;
         }
-        const Status sink_status =
-            sink(seq, pos + kFrameHeaderSize, length);
-        if (!sink_status.ok()) {
-            report.status = sink_status;
+        Reader frame(payload.data(), payload.size(),
+                     frame_label(expected_kind));
+        Status status = sink(seq, frame);
+        if (status.ok())
+            status = frame.status();
+        if (status.ok() && frame.remaining() != 0) {
+            status = Status(StatusCode::kMalformedRecord,
+                            strcat_args("frame ", seq, " carries ",
+                                        frame.remaining(),
+                                        " trailing bytes"));
+        }
+        if (!status.ok()) {
+            report.status = status;
             return report;
         }
-        pos += kFrameHeaderSize + length;
         ++report.frames_recovered;
     }
-    report.corrupt_offset = pos;
-    if (pos != bytes.size()) {
+    report.corrupt_offset = image.pos();
+    if (image.remaining() != 0) {
         report.status = Status(
             StatusCode::kTrailingBytes,
-            strcat_args(bytes.size() - pos,
+            strcat_args(image.remaining(),
                         " bytes of trailing garbage after the last record"));
         return report;
     }
@@ -347,11 +415,12 @@ index_frames(const std::vector<std::uint8_t>& bytes,
     const Status header_status = decode_header(bytes, &header);
     if (!header_status.ok())
         return header_status;
-    const LoadReport report = read_frames(
-        bytes, header.kind,
-        [&](std::uint64_t, std::size_t offset, std::size_t length) {
-            out->push_back(FrameSpan{offset - kFrameHeaderSize,
-                                     kFrameHeaderSize + length});
+    std::size_t offset = kHeaderSize;
+    const LoadReport report =
+        read_frames(bytes, header.kind, [&](std::uint64_t, Reader& frame) {
+            const std::size_t size = kFrameHeaderSize + frame.rest().size();
+            out->push_back(FrameSpan{offset, size});
+            offset += size;
             return Status();
         });
     return report.status;

@@ -14,6 +14,7 @@
 #include "obs/forensic.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rnr/wire.h"
 #include "workloads/attack_mix.h"
 
 #ifndef RSAFE_CORPUS_DIR
@@ -266,6 +267,27 @@ TEST(Forensic, CorruptionIsReportedNotFatal)
         obs::ForensicReport::deserialize(truncated, &out).ok());
     EXPECT_FALSE(
         obs::ForensicReport::deserialize({}, &out).ok());
+
+    // is_attack and kernel_mode (head bytes 16 and 17, after log_index
+    // and icount) are booleans: a CRC-valid 2 in either is malformed.
+    const auto good = sample_report().serialize();
+    std::vector<rnr::wire::FrameSpan> spans;
+    ASSERT_TRUE(rnr::wire::index_frames(good, &spans).ok());
+    for (const std::size_t at : {16u, 17u}) {
+        std::vector<std::uint8_t> head(
+            good.begin() + spans[0].offset + rnr::wire::kFrameHeaderSize,
+            good.begin() + spans[0].offset + spans[0].size);
+        head[at] = 2;
+        std::vector<std::uint8_t> bad_flag;
+        rnr::wire::Header header;
+        header.kind = rnr::wire::PayloadKind::kForensicReport;
+        header.frame_count = 1;
+        rnr::wire::encode_header(header, &bad_flag);
+        rnr::wire::append_frame(0, head.data(), head.size(), &bad_flag);
+        EXPECT_EQ(obs::ForensicReport::deserialize(bad_flag, &out).code(),
+                  StatusCode::kMalformedRecord)
+            << "head byte " << at;
+    }
 }
 
 TEST(Forensic, RendersWhereWhoWhat)

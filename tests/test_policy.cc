@@ -207,6 +207,37 @@ TEST(ValueSet, UnboundOperandFallsBackToTheSharedSet)
     EXPECT_TRUE(policy.fallback_contains(image.symbol("main")));
 }
 
+/** A policy head frame with empty tables: @p declared_sites, then the
+ *  raw unbounded_store byte. */
+std::vector<std::uint8_t>
+policy_head(std::uint32_t declared_sites, std::uint8_t unbounded_store)
+{
+    std::vector<std::uint8_t> head;
+    rnr::wire::Writer w(&head);
+    w.u32(declared_sites);
+    w.u8(unbounded_store);
+    w.u32(0);  // fallback
+    w.u32(0);  // code
+    w.u32(0);  // written
+    w.u32(0);  // jit
+    return head;
+}
+
+/** A CRC-valid kPolicyTable image carrying @p frames as its payloads. */
+std::vector<std::uint8_t>
+policy_image(const std::vector<std::vector<std::uint8_t>>& frames)
+{
+    std::vector<std::uint8_t> image;
+    rnr::wire::Header header;
+    header.kind = rnr::wire::PayloadKind::kPolicyTable;
+    header.frame_count = frames.size();
+    rnr::wire::encode_header(header, &image);
+    for (std::size_t i = 0; i < frames.size(); ++i)
+        rnr::wire::append_frame(static_cast<std::uint32_t>(i),
+                                frames[i].data(), frames[i].size(), &image);
+    return image;
+}
+
 TEST(Policy, RoundTripsOnTheWire)
 {
     const auto guest = k::build_kernel();
@@ -266,26 +297,40 @@ TEST(Policy, DeserializeRejectsForeignAndLyingPayloads)
 
     // A policy that declares more sites than it carries is truncated
     // even when every frame it does carry checks out.
-    std::vector<std::uint8_t> lying;
-    std::vector<std::uint8_t> head;
-    const auto put_u32 = [&head](std::uint32_t v) {
-        for (int i = 0; i < 4; ++i)
-            head.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    };
-    put_u32(2);          // declares two sites, ships none
-    head.push_back(0);   // unbounded_store
-    put_u32(0);          // fallback
-    put_u32(0);          // code
-    put_u32(0);          // written
-    put_u32(0);          // jit
-    rnr::wire::Header lying_header;
-    lying_header.kind = rnr::wire::PayloadKind::kPolicyTable;
-    lying_header.frame_count = 1;
-    rnr::wire::encode_header(lying_header, &lying);
-    rnr::wire::append_frame(0, head.data(), head.size(), &lying);
-    const Status status =
-        analysis::StaticPolicy::deserialize(lying, &decoded);
-    EXPECT_EQ(status.code(), StatusCode::kTruncated);
+    EXPECT_EQ(analysis::StaticPolicy::deserialize(
+                  policy_image({policy_head(2, 0)}), &decoded)
+                  .code(),
+              StatusCode::kTruncated);
+
+    // unbounded_store is a boolean: a CRC-valid 2 is malformed.
+    EXPECT_EQ(analysis::StaticPolicy::deserialize(
+                  policy_image({policy_head(0, 2)}), &decoded)
+                  .code(),
+              StatusCode::kMalformedRecord);
+}
+
+TEST(Policy, LyingCountsFailWithoutAllocating)
+{
+    analysis::StaticPolicy decoded;
+
+    // A 13-byte site frame claiming 2^32-1 targets: refused before the
+    // target vector is sized from the count.
+    std::vector<std::uint8_t> site;
+    rnr::wire::Writer w(&site);
+    w.u64(0x1000);       // site pc
+    w.u8(1u << 1);       // resolved
+    w.u32(0xffffffffu);  // target count
+    EXPECT_EQ(analysis::StaticPolicy::deserialize(
+                  policy_image({policy_head(1, 0), site}), &decoded)
+                  .code(),
+              StatusCode::kMalformedRecord);
+
+    // Frame 0 declaring 2^32-1 sites and shipping none: nothing is
+    // reserved from the declaration, and the walk's end finds the lie.
+    EXPECT_EQ(analysis::StaticPolicy::deserialize(
+                  policy_image({policy_head(0xffffffffu, 0)}), &decoded)
+                  .code(),
+              StatusCode::kTruncated);
 }
 
 TEST(Policy, CheckedInGoldensStayByteIdentical)

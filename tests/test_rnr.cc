@@ -39,7 +39,7 @@ sample_record(RecordType type)
     record.alarm.kernel_mode = true;
     if (type == RecordType::kNicDma)
         record.payload = {1, 2, 3, 4, 5};
-    if (type == RecordType::kIrqInject)
+    if (type == RecordType::kIrqInject || type == RecordType::kDetectorAlarm)
         record.value = 1;
     return record;
 }
@@ -55,10 +55,10 @@ TEST_P(RecordRoundTrip, SerializeDeserialize)
     in.serialize(&bytes);
     EXPECT_EQ(bytes.size(), in.serialized_size());
 
-    std::size_t pos = 0;
+    rnr::wire::Reader reader(bytes.data(), bytes.size(), "log record");
     LogRecord out;
-    ASSERT_TRUE(LogRecord::deserialize(bytes, &pos, &out));
-    EXPECT_EQ(pos, bytes.size());
+    ASSERT_TRUE(LogRecord::decode(reader, &out).ok());
+    EXPECT_EQ(reader.pos(), bytes.size());
     EXPECT_EQ(out.type, in.type);
     EXPECT_EQ(out.icount, in.icount);
     switch (type) {
@@ -90,6 +90,13 @@ TEST_P(RecordRoundTrip, SerializeDeserialize)
         EXPECT_EQ(out.addr, in.addr);
         EXPECT_EQ(out.tid, in.tid);
         break;
+      case RecordType::kDetectorAlarm:
+        EXPECT_EQ(out.value, in.value);
+        EXPECT_EQ(out.alarm.ret_pc, in.alarm.ret_pc);
+        EXPECT_EQ(out.alarm.actual, in.alarm.actual);
+        EXPECT_EQ(out.alarm.kernel_mode, in.alarm.kernel_mode);
+        EXPECT_EQ(out.tid, in.tid);
+        break;
       case RecordType::kHalt:
       case RecordType::kDiskComplete:
         break;
@@ -100,7 +107,7 @@ TEST_P(RecordRoundTrip, SerializeDeserialize)
 INSTANTIATE_TEST_SUITE_P(
     AllTypes, RecordRoundTrip,
     ::testing::Range(0,
-                     static_cast<int>(RecordType::kDiskComplete) + 1));
+                     static_cast<int>(RecordType::kDetectorAlarm) + 1));
 
 TEST(LogRecord, DeserializeRejectsTruncation)
 {
@@ -110,9 +117,9 @@ TEST(LogRecord, DeserializeRejectsTruncation)
     for (std::size_t cut = 1; cut < bytes.size(); cut += 7) {
         std::vector<std::uint8_t> trunc(bytes.begin(),
                                         bytes.begin() + cut);
-        std::size_t pos = 0;
+        rnr::wire::Reader in(trunc.data(), trunc.size(), "log record");
         LogRecord out;
-        EXPECT_FALSE(LogRecord::deserialize(trunc, &pos, &out));
+        EXPECT_FALSE(LogRecord::decode(in, &out).ok());
     }
 }
 
@@ -120,9 +127,9 @@ TEST(LogRecord, DeserializeRejectsBadType)
 {
     std::vector<std::uint8_t> bytes(32, 0);
     bytes[0] = 0x7f;
-    std::size_t pos = 0;
+    rnr::wire::Reader in(bytes.data(), bytes.size(), "log record");
     LogRecord out;
-    EXPECT_FALSE(LogRecord::deserialize(bytes, &pos, &out));
+    EXPECT_FALSE(LogRecord::decode(in, &out).ok());
 }
 
 TEST(InputLog, AppendFindAndByteAccounting)
@@ -143,7 +150,7 @@ TEST(InputLog, AppendFindAndByteAccounting)
 TEST(InputLog, WholeLogSerializationRoundTrip)
 {
     InputLog log;
-    for (int t = 0; t <= static_cast<int>(RecordType::kDiskComplete); ++t)
+    for (int t = 0; t <= static_cast<int>(RecordType::kDetectorAlarm); ++t)
         log.append(sample_record(static_cast<RecordType>(t)));
     const auto bytes = log.serialize();
     InputLog out;

@@ -165,7 +165,8 @@ TEST(WireFrames, RejectsCrossFeedingPayloadKinds)
     const auto bytes = make_log(3).serialize();
     const auto report = wire::read_frames(
         bytes, wire::PayloadKind::kCheckpointDigest,
-        [](std::uint64_t, std::size_t, std::size_t) {
+        [](std::uint64_t, wire::Reader& frame) {
+            frame.rest();
             return Status();
         });
     EXPECT_FALSE(report.intact());
@@ -273,13 +274,9 @@ TEST(LogWire, LegacyV1ImagesStillLoad)
     // format revision: still readable, flagged version 1.
     const InputLog log = make_log(3);
     std::vector<std::uint8_t> v1;
-    constexpr std::uint64_t kLogMagicV1 = 0x52534146454C4F47ULL;
-    for (int i = 0; i < 8; ++i)
-        v1.push_back(
-            static_cast<std::uint8_t>((kLogMagicV1 >> (8 * i)) & 0xff));
-    const std::uint64_t count = log.size();
-    for (int i = 0; i < 8; ++i)
-        v1.push_back(static_cast<std::uint8_t>((count >> (8 * i)) & 0xff));
+    wire::Writer w(&v1);
+    w.u64(0x52534146454C4F47ULL);  // "RSAFELOG", the v1 magic
+    w.u64(log.size());
     for (std::size_t i = 0; i < log.size(); ++i)
         log.at(i).serialize(&v1);
 
@@ -329,18 +326,31 @@ TEST(LogRecordDecode, ErrorsNameFieldAndOffset)
 
     // Truncated mid-payload: the status says what was being read.
     std::vector<std::uint8_t> trunc(bytes.begin(), bytes.end() - 2);
-    std::size_t pos = 0;
     LogRecord out;
-    const Status status = LogRecord::decode(trunc, &pos, &out);
+    wire::Reader trunc_in(trunc.data(), trunc.size(), "log record");
+    const Status status = LogRecord::decode(trunc_in, &out);
     EXPECT_EQ(status.code(), StatusCode::kTruncated);
     EXPECT_FALSE(status.message().empty());
 
     // Unknown record type: malformed, not truncated.
     auto bad_type = bytes;
     bad_type[0] = 0x7f;
-    pos = 0;
-    EXPECT_EQ(LogRecord::decode(bad_type, &pos, &out).code(),
+    wire::Reader bad_type_in(bad_type.data(), bad_type.size(), "log record");
+    EXPECT_EQ(LogRecord::decode(bad_type_in, &out).code(),
               StatusCode::kMalformedRecord);
+
+    // A kernel_mode byte other than 0 or 1 is not a boolean.
+    for (const RecordType type :
+         {RecordType::kRasAlarm, RecordType::kDetectorAlarm}) {
+        LogRecord alarm = sample_record(type, 778);
+        std::vector<std::uint8_t> alarm_bytes;
+        alarm.serialize(&alarm_bytes);
+        alarm_bytes[alarm_bytes.size() - 5] = 2;  // kernel_mode, then tid
+        wire::Reader in(alarm_bytes.data(), alarm_bytes.size(), "log record");
+        EXPECT_EQ(LogRecord::decode(in, &out).code(),
+                  StatusCode::kMalformedRecord)
+            << rnr::record_type_name(type);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -119,8 +119,8 @@ run_fuzz() {
     fi
     cmake --build build-fuzz -j "$(nproc)" \
         --target fuzz_wire --target fuzz_log --target fuzz_checkpoint \
-        --target fuzz_ckpt_image --target fuzz_flight
-    for target in wire log checkpoint ckpt_image flight; do
+        --target fuzz_ckpt_image --target fuzz_flight --target fuzz_policy
+    for target in wire log checkpoint ckpt_image flight policy; do
         corpus="$target"
         # Full-image seeds live under corpus/ckpt.
         [ "$target" = ckpt_image ] && corpus=ckpt

@@ -29,12 +29,15 @@ LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
         volatile std::uint8_t sink_byte = 0;
         const wire::LoadReport report = wire::read_frames(
             bytes, kind,
-            [&](std::uint64_t, std::size_t offset, std::size_t length) {
-                // Every reported extent must lie inside the image.
-                if (offset > bytes.size() || length > bytes.size() - offset)
+            [&](std::uint64_t, wire::Reader& frame) {
+                // Every frame handed out must lie inside the image.
+                const auto payload = frame.rest();
+                if (payload.data() < bytes.data() ||
+                    payload.data() + payload.size() >
+                        bytes.data() + bytes.size())
                     std::abort();
-                for (std::size_t i = 0; i < length; ++i)
-                    sink_byte ^= bytes[offset + i];
+                for (const std::uint8_t byte : payload)
+                    sink_byte = sink_byte ^ byte;
                 return rsafe::Status();
             });
         // The forensic fields must be self-consistent whatever the input.

@@ -178,14 +178,10 @@ sample_flight_box()
 std::vector<std::uint8_t>
 encode_legacy_v1(const rnr::InputLog& log)
 {
-    constexpr std::uint64_t kLogMagicV1 = 0x52534146454C4F47ULL;
     std::vector<std::uint8_t> out;
-    for (int i = 0; i < 8; ++i)
-        out.push_back(
-            static_cast<std::uint8_t>((kLogMagicV1 >> (8 * i)) & 0xff));
-    const std::uint64_t count = log.size();
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>((count >> (8 * i)) & 0xff));
+    rnr::wire::Writer w(&out);
+    w.u64(0x52534146454C4F47ULL);  // "RSAFELOG", the v1 magic
+    w.u64(log.size());
     for (std::size_t i = 0; i < log.size(); ++i)
         log.at(i).serialize(&out);
     return out;
