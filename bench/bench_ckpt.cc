@@ -14,9 +14,14 @@
  * reductions are deterministic functions of the log, so they are gated
  * with hard floors (>= 4x both); the restore-latency ratio is wall-clock
  * and gated relative to the checked-in baseline within
- * RSAFE_BENCH_GATE_TOLERANCE percent (default 10).
+ * RSAFE_BENCH_GATE_TOLERANCE percent (default 10). That ratio is the
+ * median of per-round ratios over kRestoreRounds interleaved
+ * in-memory/image restore pairs: each pair runs back to back, so host
+ * noise hits both sides of a round alike, and the median ignores the
+ * rounds it does not.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -57,6 +62,8 @@ struct CkptBench {
     std::size_t state_bytes = 0;  ///< raw pages+blocks it carries
     double restore_mem_ns = 0.0;    ///< fresh VM from in-memory ckpt
     double restore_image_ns = 0.0;  ///< fresh VM from the wire image
+    /** Median of per-round restore_mem_ns / restore_image_ns. */
+    double restore_ratio = 0.0;
 
     double byte_reduction() const
     {
@@ -71,14 +78,17 @@ struct CkptBench {
                                 : static_cast<double>(state_bytes) /
                                       static_cast<double>(image_bytes);
     }
-    /** In-memory over image restore time: how close the wire path is to
-     *  the native one (1.0 = free shipping; includes the decode). */
-    double restore_ratio() const
-    {
-        return restore_image_ns == 0.0 ? 0.0
-                                       : restore_mem_ns / restore_image_ns;
-    }
 };
+
+/** @return the median of @p values (sorts them). */
+double
+median(std::vector<double>& values)
+{
+    std::sort(values.begin(), values.end());
+    const std::size_t n = values.size();
+    return n % 2 == 1 ? values[n / 2]
+                      : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+}
 
 using VmFactory = std::function<std::unique_ptr<hv::Vm>()>;
 
@@ -117,40 +127,51 @@ measure_workload(const std::string& name, const VmFactory& factory,
     out.image_bytes = image.size();
     out.state_bytes = (ck->pages.size() + ck->blocks.size()) * kPageSize;
 
-    // Restore latency, best of kRestoreRounds: a fresh VM booted from
-    // the in-memory checkpoint versus from the wire image (decode, then
-    // the same restore) — the remote-AR boot path. Both rewrite only the
-    // pages that are not zero over pristine ones, so each takes well
-    // under a millisecond and needs more than a few rounds for a stable
-    // minimum.
-    constexpr int kRestoreRounds = 15;
+    // Restore latency over kRestoreRounds interleaved pairs: a fresh VM
+    // booted from the in-memory checkpoint versus from the wire image
+    // (decode, then the same restore) — the remote-AR boot path. Both
+    // rewrite only the pages that are not zero over pristine ones, so
+    // each takes well under a millisecond. Which side runs first
+    // alternates by round. The times reported are per-side medians; the
+    // gated ratio (in-memory over image: 1.0 = free shipping) is the
+    // median of the per-round ratios.
+    constexpr int kRestoreRounds = 31;
+    std::vector<double> mem_ns, img_ns, ratios;
     for (int round = 0; round < kRestoreRounds; ++round) {
         auto mem_vm = factory();
+        auto img_vm = factory();
         rnr::Replayer mem_env(mem_vm.get(), &log, ck->log_pos,
                               rnr::ReplayOptions{});
-        const auto t0 = Clock::now();
-        replay::restore_checkpoint(*ck, mem_vm.get(), &mem_env);
-        const auto t1 = Clock::now();
-        const double mem_ns = ns_between(t0, t1);
-        if (round == 0 || mem_ns < out.restore_mem_ns)
-            out.restore_mem_ns = mem_ns;
-
-        auto img_vm = factory();
         rnr::Replayer img_env(img_vm.get(), &log, ck->log_pos,
                               rnr::ReplayOptions{});
-        const auto t2 = Clock::now();
-        replay::Checkpoint shipped;
-        if (!replay::ckpt::deserialize_checkpoint(image, &shipped).ok())
-            fatal("bench_ckpt: freshly serialized image did not decode");
-        replay::restore_checkpoint(shipped, img_vm.get(), &img_env);
-        const auto t3 = Clock::now();
-        const double img_ns = ns_between(t2, t3);
-        if (round == 0 || img_ns < out.restore_image_ns)
-            out.restore_image_ns = img_ns;
+        const auto restore_mem = [&] {
+            const auto t0 = Clock::now();
+            replay::restore_checkpoint(*ck, mem_vm.get(), &mem_env);
+            mem_ns.push_back(ns_between(t0, Clock::now()));
+        };
+        const auto restore_image = [&] {
+            const auto t0 = Clock::now();
+            replay::Checkpoint shipped;
+            if (!replay::ckpt::deserialize_checkpoint(image, &shipped).ok())
+                fatal("bench_ckpt: freshly serialized image did not decode");
+            replay::restore_checkpoint(shipped, img_vm.get(), &img_env);
+            img_ns.push_back(ns_between(t0, Clock::now()));
+        };
+        if (round % 2 == 0) {
+            restore_mem();
+            restore_image();
+        } else {
+            restore_image();
+            restore_mem();
+        }
+        ratios.push_back(mem_ns.back() / img_ns.back());
 
         if (img_vm->state_hash() != mem_vm->state_hash())
             fatal("bench_ckpt: wire restore diverged from in-memory");
     }
+    out.restore_mem_ns = median(mem_ns);
+    out.restore_image_ns = median(img_ns);
+    out.restore_ratio = median(ratios);
     return out;
 }
 
@@ -179,8 +200,8 @@ struct BenchResults {
     {
         double min = 0.0;
         for (const auto& w : workloads)
-            if (min == 0.0 || w.restore_ratio() < min)
-                min = w.restore_ratio();
+            if (min == 0.0 || w.restore_ratio < min)
+                min = w.restore_ratio;
         return min;
     }
 };
@@ -265,7 +286,7 @@ json_number(const std::string& text, const char* key)
 /**
  * CI gate: the storage reductions carry hard floors (they are
  * deterministic functions of the log); the wall-clock restore ratio is
- * relative to the baseline within the tolerance.
+ * relative to the baseline within the tolerance, and never below 0.40.
  * @return the process exit code (0 = pass).
  */
 int
@@ -303,7 +324,8 @@ run_gate(const BenchResults& r, const char* baseline_path)
     };
     check("byte_reduction", r.min_byte_reduction(), 4.0);
     check("image_reduction", r.min_image_reduction(), 4.0);
-    check("restore_image_ratio", r.min_restore_ratio(), 0.0);
+    // The wire path must stay within 2.5x of the in-memory restore.
+    check("restore_image_ratio", r.min_restore_ratio(), 0.40);
     return ok ? 0 : 1;
 }
 

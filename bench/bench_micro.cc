@@ -319,8 +319,10 @@ measure_checkpoint()
     out.incremental_take_ns =
         std::chrono::duration<double, std::nano>(t3 - t2).count();
 
-    // Rollback restore into the same VM: the epoch filter should touch
-    // only the pages dirtied since the checkpoint.
+    // Rollback restore into the same VM. Restore keeps no record of
+    // which VM a checkpoint came from, so this is the full path: every
+    // captured page except a zero one over a pristine page is rewritten
+    // (and its code generation bumped), the dirtied ones included.
     for (std::size_t i = 0; i < kDirty; ++i)
         vm->mem().write_raw(0x80000 + i * kPageSize, 8, i + 1);
     const auto t4 = std::chrono::steady_clock::now();

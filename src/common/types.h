@@ -37,8 +37,8 @@ using BlockNum = std::uint64_t;
 /** Size of a guest physical memory page in bytes. */
 inline constexpr std::size_t kPageSize = 4096;
 
-/** Size of a virtual-disk block in bytes. */
-inline constexpr std::size_t kDiskBlockSize = 4096;
+/** Size of a virtual-disk block in bytes: one page (mem::PageStore). */
+inline constexpr std::size_t kDiskBlockSize = kPageSize;
 
 /** Bytes per encoded guest instruction (fixed-width encoding). */
 inline constexpr std::size_t kInstrBytes = 8;

@@ -4,7 +4,8 @@
 
 namespace rsafe::dev {
 
-BlockDev::BlockDev(mem::Disk* disk, std::uint64_t seed, Cycles mean_latency)
+BlockDev::BlockDev(mem::PageStore* disk, std::uint64_t seed,
+                   Cycles mean_latency)
     : disk_(disk), rng_(seed), mean_latency_(mean_latency)
 {
     if (disk_ == nullptr)
@@ -21,7 +22,7 @@ BlockDev::go(Cycles now, bool is_read,
         warn("BlockDev: command issued while busy; dropping");
         return;
     }
-    if (cmd_block_ >= disk_->num_blocks()) {
+    if (cmd_block_ >= disk_->num_pages()) {
         warn("BlockDev: block out of range; dropping command");
         return;
     }
@@ -55,9 +56,9 @@ BlockDev::take_completion(Cycles now)
     done.guest_addr = in_flight_->guest_addr;
     if (in_flight_->is_read) {
         done.data.resize(kDiskBlockSize);
-        disk_->read_block(done.block, done.data.data());
+        disk_->read(done.block, done.data.data());
     } else {
-        disk_->write_block(done.block, in_flight_->write_payload.data());
+        disk_->write(done.block, in_flight_->write_payload.data());
     }
     in_flight_.reset();
     ++total_transfers_;

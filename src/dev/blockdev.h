@@ -8,7 +8,7 @@
 
 #include "common/random.h"
 #include "common/types.h"
-#include "mem/disk.h"
+#include "mem/page_store.h"
 
 /**
  * @file
@@ -45,7 +45,7 @@ struct BlockDevState {
     Addr cmd_addr = 0;
 };
 
-/** DMA block-device controller wrapping a mem::Disk. */
+/** DMA block-device controller over a disk (a mem::PageStore). */
 class BlockDev {
   public:
     /**
@@ -53,7 +53,7 @@ class BlockDev {
      * @param seed          completion-latency PRNG seed.
      * @param mean_latency  mean cycles from "go" to completion.
      */
-    BlockDev(mem::Disk* disk, std::uint64_t seed, Cycles mean_latency);
+    BlockDev(mem::PageStore* disk, std::uint64_t seed, Cycles mean_latency);
 
     /** Command registers (written via guest pio). @{ */
     void set_block(BlockNum block) { cmd_block_ = block; }
@@ -101,7 +101,7 @@ class BlockDev {
         std::vector<std::uint8_t> write_payload;
     };
 
-    mem::Disk* disk_;
+    mem::PageStore* disk_;
     Rng rng_;
     Cycles mean_latency_;
     BlockNum cmd_block_ = 0;

@@ -9,7 +9,7 @@
 #include "dev/blockdev.h"
 #include "dev/nic.h"
 #include "dev/timer.h"
-#include "mem/disk.h"
+#include "mem/page_store.h"
 #include "mem/phys_mem.h"
 
 /**
@@ -131,13 +131,13 @@ class DeviceHub {
     Timer& timer() { return timer_; }
     Nic& nic() { return nic_; }
     BlockDev& blockdev() { return blockdev_; }
-    mem::Disk& disk() { return disk_; }
-    const mem::Disk& disk() const { return disk_; }
+    mem::PageStore& disk() { return disk_; }
+    const mem::PageStore& disk() const { return disk_; }
     /** @} */
 
   private:
     mem::PhysMem* mem_;
-    mem::Disk disk_;
+    mem::PageStore disk_;  ///< one block per page
     Timer timer_;
     Nic nic_;
     BlockDev blockdev_;

@@ -251,21 +251,12 @@ WorkStealingPool::drain()
 void
 WorkStealingPool::abandon()
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (Tenant& t : tenants_) {
-            const std::size_t dropped = t.parked.size() + t.admitted.size();
-            t.stats.discarded += dropped;
-            stats_.discarded += dropped;
-            outstanding_ -= dropped;
-            t.inflight -= t.admitted.size();
-            t.parked.clear();
-            t.admitted.clear();
-        }
-    }
-    // Jobs already handed to worker deques occupy their tenants' in-flight
-    // slots; pull them out deque-first (never holding mu_ under a deque
-    // lock), then account for them.
+    // Pull the jobs already handed to worker deques out first (never
+    // holding mu_ under a deque lock), then discard them together with
+    // every parked and admitted job in one critical section: freeing
+    // the deque jobs' in-flight slots in a later section than the parked
+    // sweep would strand a job parked in between behind a slot nobody
+    // admits it into, and the wait below would never return.
     std::vector<QueuedJob> taken;
     for (auto& deque : deques_) {
         std::lock_guard<std::mutex> lock(deque->mu);
@@ -274,18 +265,25 @@ WorkStealingPool::abandon()
             deque->jobs.pop_front();
         }
     }
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        for (const QueuedJob& job : taken) {
-            Tenant& t = tenants_[job.tenant];
-            ++t.stats.discarded;
-            ++stats_.discarded;
-            --outstanding_;
-            --t.inflight;
-        }
-        // Only the jobs actually executing remain; wait those out.
-        idle_cv_.wait(lock, [this] { return outstanding_ == 0; });
+    std::unique_lock<std::mutex> lock(mu_);
+    for (const QueuedJob& job : taken) {
+        Tenant& t = tenants_[job.tenant];
+        ++t.stats.discarded;
+        ++stats_.discarded;
+        --outstanding_;
+        --t.inflight;
     }
+    for (Tenant& t : tenants_) {
+        const std::size_t dropped = t.parked.size() + t.admitted.size();
+        t.stats.discarded += dropped;
+        stats_.discarded += dropped;
+        outstanding_ -= dropped;
+        t.inflight -= t.admitted.size();
+        t.parked.clear();
+        t.admitted.clear();
+    }
+    // Only the jobs actually executing remain; wait those out.
+    idle_cv_.wait(lock, [this] { return outstanding_ == 0; });
 }
 
 PoolStats

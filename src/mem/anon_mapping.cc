@@ -20,28 +20,4 @@ AnonMapping::~AnonMapping()
     ::munmap(data_, size_);
 }
 
-std::uint64_t
-fnv1a64_written(const AnonMapping& bytes, std::size_t unit_bytes,
-                const std::vector<std::uint64_t>& unit_epoch)
-{
-    constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-    std::uint64_t zero_unit = 1;
-    for (std::size_t i = 0; i < unit_bytes; ++i)
-        zero_unit *= kPrime;
-
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (std::size_t unit = 0; unit < unit_epoch.size(); ++unit) {
-        if (unit_epoch[unit] == 0) {
-            hash *= zero_unit;
-            continue;
-        }
-        const std::uint8_t* p = bytes.data() + unit * unit_bytes;
-        for (std::size_t i = 0; i < unit_bytes; ++i) {
-            hash ^= p[i];
-            hash *= kPrime;
-        }
-    }
-    return hash;
-}
-
 }  // namespace rsafe::mem

@@ -1,6 +1,5 @@
 #include "mem/phys_mem.h"
 
-#include <atomic>
 #include <bit>
 #include <cstring>
 
@@ -16,13 +15,22 @@ namespace {
  */
 constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
 
-std::uint64_t
-next_phys_mem_id()
+/** Little-endian load of @p len <= 8 bytes at @p p, byte by byte. */
+Word
+get_le(const std::uint8_t* p, std::size_t len)
 {
-    // Atomic: the framework's alarm-replayer worker pool builds VMs (and
-    // thus memories) from several threads at once.
-    static std::atomic<std::uint64_t> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
+    Word value = 0;
+    for (std::size_t i = 0; i < len; ++i)
+        value |= static_cast<Word>(p[i]) << (8 * i);
+    return value;
+}
+
+/** Little-endian store of the low @p len <= 8 bytes of @p value. */
+void
+put_le(std::uint8_t* p, std::size_t len, Word value)
+{
+    for (std::size_t i = 0; i < len; ++i)
+        p[i] = static_cast<std::uint8_t>((value >> (8 * i)) & 0xff);
 }
 
 std::size_t
@@ -37,13 +45,10 @@ ram_pages(std::size_t size)
 }  // namespace
 
 PhysMem::PhysMem(std::size_t size)
-    : bytes_(ram_pages(size) * kPageSize), id_(next_phys_mem_id())
+    : store_(ram_pages(size)),
+      perms_(num_pages(), kPermRW),
+      gen_(num_pages(), 0)
 {
-    const std::size_t pages = num_pages();
-    perms_.assign(pages, kPermRW);
-    dirty_bits_.assign((pages + 63) / 64, 0);
-    gen_.assign(pages, 0);
-    page_epoch_.assign(pages, 0);
 }
 
 void
@@ -99,15 +104,12 @@ PhysMem::read(Addr addr, std::size_t len, Word* out) const
     }
     if (kLittleEndianHost && len == 8) {
         Word value;
-        std::memcpy(&value, bytes_.data() + addr, 8);
+        std::memcpy(&value, store_.bytes() + addr, 8);
         *out = value;
     } else if (len == 1) {
-        *out = bytes_[addr];
+        *out = store_.bytes()[addr];
     } else {
-        Word value = 0;
-        for (std::size_t i = 0; i < len; ++i)
-            value |= static_cast<Word>(bytes_[addr + i]) << (8 * i);
-        *out = value;
+        *out = get_le(store_.bytes() + addr, len);
     }
     return MemResult::kOk;
 }
@@ -123,15 +125,13 @@ PhysMem::write(Addr addr, std::size_t len, Word value)
         if (!(perms & kPermWrite))
             return MemResult::kNoPerm;
         if (kLittleEndianHost && len == 8) {
-            std::memcpy(bytes_.data() + addr, &value, 8);
+            std::memcpy(store_.bytes() + addr, &value, 8);
         } else if (len == 1) {
-            bytes_[addr] = static_cast<std::uint8_t>(value & 0xff);
+            store_.bytes()[addr] = static_cast<std::uint8_t>(value & 0xff);
         } else {
-            for (std::size_t i = 0; i < len; ++i)
-                bytes_[addr + i] =
-                    static_cast<std::uint8_t>((value >> (8 * i)) & 0xff);
+            put_le(store_.bytes() + addr, len, value);
         }
-        mark_dirty_page(page);
+        store_.mark_dirty(page);
         if (perms & kPermExec) [[unlikely]]
             bump_code_gen(page);
         return MemResult::kOk;
@@ -140,10 +140,8 @@ PhysMem::write(Addr addr, std::size_t len, Word value)
     const Addr last = addr + len - 1;
     if (!(perms_[page] & kPermWrite) || !(perms_[page_of(last)] & kPermWrite))
         return MemResult::kNoPerm;
-    for (std::size_t i = 0; i < len; ++i)
-        bytes_[addr + i] = static_cast<std::uint8_t>((value >> (8 * i)) & 0xff);
-    mark_dirty_range(addr, len);
-    touch_code_range(addr, len);
+    put_le(store_.bytes() + addr, len, value);
+    wrote_range(addr, len);
     return MemResult::kOk;
 }
 
@@ -154,7 +152,7 @@ PhysMem::fetch(Addr addr, std::uint8_t out[kInstrBytes]) const
         return MemResult::kOutOfRange;
     if (!(perms_[page_of(addr)] & kPermExec))
         return MemResult::kNoPerm;
-    std::memcpy(out, bytes_.data() + addr, kInstrBytes);
+    std::memcpy(out, store_.bytes() + addr, kInstrBytes);
     return MemResult::kOk;
 }
 
@@ -165,13 +163,10 @@ PhysMem::read_raw(Addr addr, std::size_t len) const
         panic("PhysMem::read_raw out of range");
     if (kLittleEndianHost && len == 8 && page_offset(addr) + 8 <= kPageSize) {
         Word value;
-        std::memcpy(&value, bytes_.data() + addr, 8);
+        std::memcpy(&value, store_.bytes() + addr, 8);
         return value;
     }
-    Word value = 0;
-    for (std::size_t i = 0; i < len; ++i)
-        value |= static_cast<Word>(bytes_[addr + i]) << (8 * i);
-    return value;
+    return get_le(store_.bytes() + addr, len);
 }
 
 void
@@ -179,10 +174,8 @@ PhysMem::write_raw(Addr addr, std::size_t len, Word value)
 {
     if (!in_range(addr, len))
         panic("PhysMem::write_raw out of range");
-    for (std::size_t i = 0; i < len; ++i)
-        bytes_[addr + i] = static_cast<std::uint8_t>((value >> (8 * i)) & 0xff);
-    mark_dirty_range(addr, len);
-    touch_code_range(addr, len);
+    put_le(store_.bytes() + addr, len, value);
+    wrote_range(addr, len);
 }
 
 void
@@ -190,9 +183,8 @@ PhysMem::write_block(Addr addr, const std::uint8_t* data, std::size_t len)
 {
     if (!in_range(addr, len))
         panic("PhysMem::write_block out of range");
-    std::memcpy(bytes_.data() + addr, data, len);
-    mark_dirty_range(addr, len);
-    touch_code_range(addr, len);
+    std::memcpy(store_.bytes() + addr, data, len);
+    wrote_range(addr, len);
 }
 
 void
@@ -200,7 +192,7 @@ PhysMem::read_block(Addr addr, std::uint8_t* data, std::size_t len) const
 {
     if (!in_range(addr, len))
         panic("PhysMem::read_block out of range");
-    std::memcpy(data, bytes_.data() + addr, len);
+    std::memcpy(data, store_.bytes() + addr, len);
 }
 
 void
@@ -209,82 +201,25 @@ PhysMem::load_image(const isa::Image& image)
     write_block(image.base(), image.bytes().data(), image.size());
 }
 
-const std::uint8_t*
-PhysMem::page_data(Addr page) const
-{
-    if (page >= num_pages())
-        panic("PhysMem::page_data out of range");
-    return bytes_.data() + page * kPageSize;
-}
-
 void
 PhysMem::restore_page(Addr page, const std::uint8_t* data)
 {
-    if (page >= num_pages())
-        panic("PhysMem::restore_page out of range");
-    std::memcpy(bytes_.data() + page * kPageSize, data, kPageSize);
-    mark_dirty_page(page);
+    store_.write(page, data);
     bump_code_gen(page);
 }
 
-bool
-PhysMem::page_dirty(Addr page) const
-{
-    if (page >= num_pages())
-        panic("PhysMem::page_dirty out of range");
-    return (dirty_bits_[page >> 6] >> (page & 63)) & 1;
-}
-
-std::vector<Addr>
-PhysMem::dirty_pages() const
-{
-    std::vector<Addr> pages;
-    pages.reserve(dirty_count_);
-    for (std::size_t w = 0; w < dirty_bits_.size(); ++w) {
-        std::uint64_t word = dirty_bits_[w];
-        while (word != 0) {
-            const int bit = std::countr_zero(word);
-            pages.push_back(static_cast<Addr>(w * 64 + bit));
-            word &= word - 1;
-        }
-    }
-    return pages;
-}
-
 void
-PhysMem::clear_dirty()
+PhysMem::wrote_range(Addr addr, std::size_t len)
 {
-    std::memset(dirty_bits_.data(), 0,
-                dirty_bits_.size() * sizeof(std::uint64_t));
-    dirty_count_ = 0;
-    ++epoch_;
-}
-
-std::uint64_t
-PhysMem::content_hash() const
-{
-    return fnv1a64_written(bytes_, kPageSize, page_epoch_);
-}
-
-void
-PhysMem::mark_dirty_range(Addr addr, std::size_t len)
-{
+    // Straddling and privileged writes can change executable bytes (they
+    // bypass W^X: DMA into a code page, introspection pokes), so every
+    // page touched is both marked in the store and code-invalidated.
     const Addr first = page_of(addr);
     const Addr last = page_of(addr + (len == 0 ? 0 : len - 1));
-    for (Addr p = first; p <= last; ++p)
-        mark_dirty_page(p);
-}
-
-void
-PhysMem::touch_code_range(Addr addr, std::size_t len)
-{
-    // Privileged writes bypass W^X, so they can change executable bytes
-    // (DMA into a code page, checkpoint restore, introspection pokes):
-    // invalidate the decode cache for every page touched.
-    const Addr first = page_of(addr);
-    const Addr last = page_of(addr + (len == 0 ? 0 : len - 1));
-    for (Addr p = first; p <= last; ++p)
+    for (Addr p = first; p <= last; ++p) {
+        store_.mark_dirty(p);
         bump_code_gen(p);
+    }
 }
 
 }  // namespace rsafe::mem

@@ -6,7 +6,7 @@
 
 #include "common/types.h"
 #include "isa/program.h"
-#include "mem/anon_mapping.h"
+#include "mem/page_store.h"
 
 /**
  * @file
@@ -20,22 +20,18 @@
  *
  * This is the simulator's hottest data structure, so the bookkeeping is
  * designed for the access pattern of a tight interpreter loop:
- *  - dirty pages live in a bitmap (one bit per page) with a cached count,
+ *  - the bytes, dirty bitmap and pristine state live in one PageStore
+ *    (the same page array the guest disk is), whose inline mark_dirty()
+ *    is all a sub-page store pays for tracking,
  *  - every content-changing operation on an executable page bumps that
  *    page's generation counter, which the CPU's predecoded-instruction
- *    cache validates against on every fetch,
- *  - clear_dirty() advances a global epoch, and each page remembers the
- *    last epoch it was dirtied in, which lets checkpoint restore touch
- *    only the pages that actually changed since the checkpoint was taken.
+ *    cache validates against on every fetch.
  *
- * The bytes live in a lazily zero-filled anonymous mapping (AnonMapping),
- * so a VM pays in time and resident memory only for the pages it writes.
- * A page whose epoch is still 0 has never been written and is all zero:
- * it is "pristine". Invariant: every entry point that can change a byte
- * (write, write_raw, write_block, load_image, restore_page) marks the
- * page dirty, which sets its epoch — so a page never returns to
- * pristine, even when written back to all-zero. Checkpoint take and
- * restore use page_pristine() to skip pages nobody touched.
+ * Every entry point that can change a byte (write, write_raw,
+ * write_block, load_image, restore_page) marks the page in the store,
+ * so it stops being pristine for good (PageStore's invariant).
+ * Checkpoint take and restore use pages().pristine() to skip pages
+ * nobody touched.
  */
 
 namespace rsafe::mem {
@@ -83,10 +79,13 @@ class PhysMem {
     explicit PhysMem(std::size_t size);
 
     /** @return RAM size in bytes. */
-    std::size_t size() const { return bytes_.size(); }
+    std::size_t size() const { return store_.num_pages() * kPageSize; }
 
     /** @return number of RAM pages. */
-    std::size_t num_pages() const { return bytes_.size() / kPageSize; }
+    std::size_t num_pages() const { return store_.num_pages(); }
+
+    /** The page array: dirty and pristine state, read-only access. */
+    const PageStore& pages() const { return store_; }
 
     /** Set the permissions of every page overlapping [addr, addr+len). */
     void set_perms(Addr addr, std::size_t len, std::uint8_t perms);
@@ -119,22 +118,16 @@ class PhysMem {
     void load_image(const isa::Image& image);
 
     /** @return pointer to the raw bytes of page @p page. */
-    const std::uint8_t* page_data(Addr page) const;
+    const std::uint8_t* page_data(Addr page) const
+    {
+        return store_.data(page);
+    }
 
     /** Overwrite page @p page with @p data (kPageSize bytes); marks dirty. */
     void restore_page(Addr page, const std::uint8_t* data);
 
-    /** @return pages written since the last clear_dirty(), sorted. */
-    std::vector<Addr> dirty_pages() const;
-
-    /** @return number of dirty pages (O(1)). */
-    std::size_t dirty_count() const { return dirty_count_; }
-
-    /** @return true if @p page was written since the last clear_dirty(). */
-    bool page_dirty(Addr page) const;
-
-    /** Forget dirty state (checkpoint interval boundary); bumps epoch(). */
-    void clear_dirty();
+    /** Forget dirty state (checkpoint interval boundary). */
+    void clear_dirty() { store_.clear_dirty(); }
 
     /**
      * Decode-cache invalidation hook: a monotonic counter per page,
@@ -165,44 +158,18 @@ class PhysMem {
     /** @} */
 
     /**
-     * Delta-restore machinery (O(differing pages) checkpoint restore).
-     * id() uniquely identifies this PhysMem instance; epoch() counts
-     * clear_dirty() calls; page_epoch() is the last epoch the page was
-     * dirtied in. A page is guaranteed unchanged since a checkpoint taken
-     * from this same PhysMem at epoch E iff page_epoch(p) < E.
-     * @{
-     */
-    std::uint64_t id() const { return id_; }
-    std::uint64_t epoch() const { return epoch_; }
-    std::uint64_t page_epoch(Addr page) const { return page_epoch_[page]; }
-    /** @} */
-
-    /** @return true if @p page was never written: it is all zero. */
-    bool page_pristine(Addr page) const { return page_epoch_[page] == 0; }
-
-    /**
      * FNV-1a hash over all RAM bytes; the determinism test oracle.
      * Pristine pages are folded in without being read.
      */
-    std::uint64_t content_hash() const;
+    std::uint64_t content_hash() const { return store_.content_hash(); }
 
   private:
     bool in_range(Addr addr, std::size_t len) const
     {
-        return addr + len <= bytes_.size() && addr + len >= addr;
+        return addr + len <= size() && addr + len >= addr;
     }
-    void mark_dirty_page(Addr page)
-    {
-        auto& word = dirty_bits_[page >> 6];
-        const std::uint64_t bit = std::uint64_t{1} << (page & 63);
-        if ((word & bit) == 0) {
-            word |= bit;
-            ++dirty_count_;
-            page_epoch_[page] = epoch_;
-        }
-    }
-    void mark_dirty_range(Addr addr, std::size_t len);
-    void touch_code_range(Addr addr, std::size_t len);
+    /** Mark and code-invalidate every page of [addr, addr+len). */
+    void wrote_range(Addr addr, std::size_t len);
     /** Bump @p page's generation and notify code-write listeners. */
     void bump_code_gen(Addr page)
     {
@@ -213,15 +180,10 @@ class PhysMem {
         }
     }
 
-    AnonMapping bytes_;
+    PageStore store_;
     std::vector<std::uint8_t> perms_;
-    std::vector<std::uint64_t> dirty_bits_;   ///< one bit per page
-    std::size_t dirty_count_ = 0;
     std::vector<std::uint64_t> gen_;          ///< decode-cache generations
-    std::vector<std::uint64_t> page_epoch_;   ///< last dirtying epoch
     std::vector<CodeWriteListener*> code_listeners_;
-    std::uint64_t epoch_ = 1;
-    std::uint64_t id_;
 };
 
 }  // namespace rsafe::mem

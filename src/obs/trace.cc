@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <new>
 #include <set>
 
 namespace rsafe::obs {
@@ -87,20 +88,22 @@ phase_letter(TraceEvent::Phase phase)
 }  // namespace
 
 TraceBuffer::TraceBuffer(std::string thread_name, std::size_t capacity)
-    : name_(std::move(thread_name))
+    : name_(std::move(thread_name)),
+      capacity_(capacity == 0 ? 1 : capacity),
+      ring_(capacity_ * sizeof(TraceEvent))
 {
-    events_.resize(capacity == 0 ? 1 : capacity);
 }
 
 void
 TraceBuffer::emit(const TraceEvent& event)
 {
     const std::size_t pos = size_.load(std::memory_order_relaxed);
-    if (pos >= events_.size()) {
+    if (pos >= capacity_) {
         dropped_.fetch_add(1, std::memory_order_relaxed);
         return;
     }
-    events_[pos] = event;
+    // The slot's first use: construct the event in the zero-filled ring.
+    new (ring_.data() + pos * sizeof(TraceEvent)) TraceEvent(event);
     // Release-publish: readers who acquire size() see the event body.
     size_.store(pos + 1, std::memory_order_release);
 }

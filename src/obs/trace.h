@@ -5,8 +5,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "mem/anon_mapping.h"
 
 /**
  * @file
@@ -58,12 +62,19 @@ struct TraceEvent {
     std::uint64_t arg_value = 0;
 };
 
+// Events are placement-constructed into raw zero-filled slots and never
+// destroyed.
+static_assert(std::is_trivially_copyable_v<TraceEvent> &&
+              std::is_trivially_destructible_v<TraceEvent>);
+
 /**
  * A single-writer event buffer. The owning thread appends; any other
  * thread may read the published prefix after an acquire of size().
  * The capacity is fixed at attach time — when it fills, further events
  * are counted in dropped() instead of allocating (the hot path must
- * never touch the allocator).
+ * never touch the allocator). The ring is a lazily zero-filled
+ * mem::AnonMapping, so a buffer costs memory only for the events
+ * actually emitted, not its full capacity up front.
  */
 class TraceBuffer {
   public:
@@ -88,7 +99,11 @@ class TraceBuffer {
     }
 
     /** @return event @p i of the published prefix. */
-    const TraceEvent& at(std::size_t i) const { return events_[i]; }
+    const TraceEvent& at(std::size_t i) const
+    {
+        return *std::launder(
+            reinterpret_cast<const TraceEvent*>(ring_.data()) + i);
+    }
 
     const std::string& thread_name() const { return name_; }
     std::uint32_t tid() const { return tid_; }
@@ -98,7 +113,8 @@ class TraceBuffer {
 
     std::string name_;
     std::uint32_t tid_ = 0;  ///< assigned by the Tracer at registration
-    std::vector<TraceEvent> events_;
+    std::size_t capacity_;
+    mem::AnonMapping ring_;  ///< capacity_ event slots
     std::atomic<std::size_t> size_{0};
     std::atomic<std::uint64_t> dropped_{0};
 };

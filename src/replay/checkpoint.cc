@@ -37,6 +37,31 @@ pool_options(const CheckpointStoreOptions& options)
     return pool;
 }
 
+/**
+ * Write every captured page of @p table that differs from what @p store
+ * may already hold, through @p write(page, bytes). A zero page over a
+ * pristine (never written, so zero) page is already in place, so a fresh
+ * AR VM rewrites only the pages the recorded run made nonzero. Stored
+ * pages decode through a stack buffer: compressed, deduped, and raw
+ * storage all restore the same raw bytes, which the A/B determinism
+ * gates hold bit-identical.
+ */
+template <typename Write>
+void
+restore_pages(const ckpt::StoredPageTable& table,
+              const mem::PageStore& store, Write&& write)
+{
+    std::uint8_t raw[kPageSize];
+    for (std::uint64_t page = 0; page < table.size(); ++page) {
+        const auto& ref = table.at(page);
+        // A null slot is only possible in a hand-built partial image.
+        if (!ref || (ref->is_zero() && store.pristine(page)))
+            continue;
+        ref->copy_to(raw);
+        write(page, raw);
+    }
+}
+
 }  // namespace
 
 CheckpointStore::CheckpointStore(std::size_t max_keep)
@@ -59,49 +84,11 @@ CheckpointStore::take(hv::Vm& vm, const hv::VmEnvBase& env,
     auto& mem = vm.mem();
     auto& disk = vm.hub().disk();
     const auto prev = latest();
-
-    if (!prev) {
-        // First checkpoint: full copy. Pages and blocks never written
-        // since construction are zero, so they intern to the pool's
-        // shared zero page without being read or hashed; the copy count
-        // (and so the simulated cost) still covers every one of them.
-        ck->pages = ckpt::StoredPageTable(mem.num_pages());
-        ck->blocks = ckpt::StoredPageTable(disk.num_blocks());
-        for (Addr page = 0; page < mem.num_pages(); ++page) {
-            ck->pages.set(page, mem.page_pristine(page)
-                                    ? pool_.intern_zero()
-                                    : pool_.intern(mem.page_data(page)));
-            ++ck->copies;
-        }
-        for (BlockNum block = 0; block < disk.num_blocks(); ++block) {
-            ck->blocks.set(block,
-                           disk.block_pristine(block)
-                               ? pool_.intern_zero()
-                               : pool_.intern(disk.block_data(block)));
-            ++ck->copies;
-        }
-    } else {
-        // Incremental: share unmodified pages with the previous
-        // checkpoint and copy only what was dirtied in this interval.
-        // Assigning a table shares its chunks, so this is O(dirty),
-        // not O(all pages).
-        ck->pages = prev->pages;
-        ck->blocks = prev->blocks;
-        for (const Addr page : mem.dirty_pages()) {
-            ck->pages.set(page, pool_.intern(mem.page_data(page)));
-            ++ck->copies;
-        }
-        for (const BlockNum block : disk.dirty_blocks()) {
-            ck->blocks.set(block, pool_.intern(disk.block_data(block)));
-            ++ck->copies;
-        }
-    }
+    ck->copies += capture(mem.pages(), prev ? &prev->pages : nullptr,
+                          &ck->pages);
+    ck->copies += capture(disk, prev ? &prev->blocks : nullptr, &ck->blocks);
     mem.clear_dirty();
     disk.clear_dirty();
-    ck->mem_id = mem.id();
-    ck->mem_epoch = mem.epoch();
-    ck->disk_id = disk.id();
-    ck->disk_epoch = disk.epoch();
 
     auto& cpu = vm.cpu();
     ck->cpu_state = cpu.state();
@@ -122,6 +109,33 @@ CheckpointStore::take(hv::Vm& vm, const hv::VmEnvBase& env,
     checkpoints_.push_back(ck);
     enforce_budget();
     return ck;
+}
+
+std::size_t
+CheckpointStore::capture(const mem::PageStore& store,
+                         const ckpt::StoredPageTable* prev,
+                         ckpt::StoredPageTable* out)
+{
+    if (prev == nullptr) {
+        // First checkpoint: full copy. Pages never written since
+        // construction are zero, so they intern to the pool's shared
+        // zero page without being read or hashed; the copy count (and
+        // so the simulated cost) still covers every one of them.
+        *out = ckpt::StoredPageTable(store.num_pages());
+        for (std::uint64_t page = 0; page < store.num_pages(); ++page) {
+            out->set(page, store.pristine(page)
+                               ? pool_.intern_zero()
+                               : pool_.intern(store.data(page)));
+        }
+        return store.num_pages();
+    }
+    // Incremental: share unmodified pages with the previous checkpoint
+    // and copy only what was dirtied in this interval. Assigning a table
+    // shares its chunks, so this is O(dirty), not O(all pages).
+    *out = *prev;
+    for (const std::uint64_t page : store.dirty_pages())
+        out->set(page, pool_.intern(store.data(page)));
+    return store.dirty_count();
 }
 
 void
@@ -198,42 +212,20 @@ restore_checkpoint(const Checkpoint& checkpoint, hv::Vm* vm,
     auto& mem = vm->mem();
     auto& disk = vm->hub().disk();
     if (checkpoint.pages.size() != mem.num_pages() ||
-        checkpoint.blocks.size() != disk.num_blocks()) {
+        checkpoint.blocks.size() != disk.num_pages()) {
         fatal("restore_checkpoint: VM geometry mismatch");
     }
-    // When rolling back the same memory the checkpoint was taken from,
-    // a page can only differ from the checkpointed copy if it was
-    // dirtied in this or a later epoch; everything older is untouched
-    // RAM and need not be rewritten (or decode-cache invalidated).
-    // Into any memory, a zero page over a pristine (never written, so
-    // zero) page is already in place: a fresh AR VM rewrites only the
-    // pages the recorded run made nonzero. Both hold for in-memory and
-    // shipped checkpoints alike. Stored pages decode through a stack
-    // buffer: compressed, deduped, and raw storage all restore the same
-    // raw bytes, which the A/B determinism gates hold bit-identical.
-    std::uint8_t raw[kPageSize];
-    const bool mem_delta = checkpoint.mem_id == mem.id();
-    for (Addr page = 0; page < checkpoint.pages.size(); ++page) {
-        if (mem_delta && mem.page_epoch(page) < checkpoint.mem_epoch)
-            continue;
-        const auto& ref = checkpoint.pages.at(page);
-        if (!ref)
-            continue;  // only possible in a hand-built partial image
-        if (ref->is_zero() && mem.page_pristine(page))
-            continue;
-        ref->copy_to(raw);
-        mem.restore_page(page, raw);
-    }
-    const bool disk_delta = checkpoint.disk_id == disk.id();
-    for (BlockNum block = 0; block < checkpoint.blocks.size(); ++block) {
-        if (disk_delta && disk.block_epoch(block) < checkpoint.disk_epoch)
-            continue;
-        const auto& ref = checkpoint.blocks.at(block);
-        if (!ref || (ref->is_zero() && disk.block_pristine(block)))
-            continue;
-        ref->copy_to(raw);
-        disk.write_block(block, raw);
-    }
+    // RAM pages go through PhysMem::restore_page, which bumps the
+    // page's code generation and tells the TB engine; disk blocks are
+    // written straight into the disk's store.
+    restore_pages(checkpoint.pages, mem.pages(),
+                  [&](std::uint64_t page, const std::uint8_t* data) {
+                      mem.restore_page(page, data);
+                  });
+    restore_pages(checkpoint.blocks, disk,
+                  [&](std::uint64_t block, const std::uint8_t* data) {
+                      disk.write(block, data);
+                  });
     mem.clear_dirty();
     disk.clear_dirty();
 

@@ -15,7 +15,6 @@
 #include "dev/blockdev.h"
 #include "hv/hypervisor.h"
 #include "hv/vm.h"
-#include "mem/page_table.h"
 #include "replay/ckpt_store/page_pool.h"
 
 /**
@@ -33,12 +32,14 @@
  * Recycling falls out of shared ownership: dropping a checkpoint frees a
  * page only when no later checkpoint still references it.
  *
- * The page/block maps are persistent chunked arrays shared between
- * consecutive checkpoints — so taking an incremental checkpoint costs
- * O(dirty pages), not O(all pages). Each checkpoint also records the
- * identity and dirty-epoch of the memory/disk it was taken from, letting
- * restore_checkpoint() rewrite only pages that have actually changed
- * since the checkpoint when rolling the same VM back.
+ * RAM and disk are the same kind of state (one mem::PageStore each), so
+ * take() captures both with one walk and restore_checkpoint() restores
+ * both with another. The page/block maps are persistent chunked arrays
+ * shared between consecutive checkpoints — so taking an incremental
+ * checkpoint costs O(dirty pages), not O(all pages). Restore skips a
+ * zero page over a pristine (never written, so zero) one and rewrites
+ * every other captured page, into a fresh VM or the VM the checkpoint
+ * came from alike.
  *
  * Page contents live in a content-hash dedup pool (ckpt_store/) that
  * RLE-compresses them, so the chain's stored footprint is a fraction of
@@ -76,19 +77,6 @@ struct Checkpoint {
 
     /** Pages+blocks copied when this checkpoint was taken (cost basis). */
     std::size_t copies = 0;
-
-    /**
-     * Source identity + dirty epoch at take time (PhysMem/Disk id() and
-     * epoch()). When restoring into the same memory/disk instance, pages
-     * whose page_epoch() is still below mem_epoch are untouched since
-     * this checkpoint and need not be rewritten.
-     * @{
-     */
-    std::uint64_t mem_id = 0;
-    std::uint64_t mem_epoch = 0;
-    std::uint64_t disk_id = 0;
-    std::uint64_t disk_epoch = 0;
-    /** @} */
 };
 
 /**
@@ -100,9 +88,8 @@ struct Checkpoint {
  * input log, so a digest shipped between machines fails loudly — never
  * silently — when damaged.
  *
- * Only run-deterministic fields participate: process-local identifiers
- * (mem_id/disk_id) and dirty epochs are excluded so digests compare
- * equal across processes.
+ * Only run-deterministic fields participate, so digests compare equal
+ * across processes.
  */
 struct CheckpointDigest {
     std::uint64_t id = 0;
@@ -218,6 +205,15 @@ class CheckpointStore {
     const CheckpointStoreOptions& options() const { return options_; }
 
   private:
+    /**
+     * Intern @p store's pages into @p out: every page when @p prev is
+     * null (the first checkpoint), else @p prev's table with the dirty
+     * pages replaced. @return the number of pages copied.
+     */
+    std::size_t capture(const mem::PageStore& store,
+                        const ckpt::StoredPageTable* prev,
+                        ckpt::StoredPageTable* out);
+
     /** Recycle oldest-first until count and byte budget both fit. */
     void enforce_budget();
 

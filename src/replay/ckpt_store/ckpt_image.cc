@@ -1,6 +1,5 @@
 #include "replay/ckpt_store/ckpt_image.h"
 
-#include <cstring>
 #include <map>
 #include <utility>
 
@@ -294,21 +293,22 @@ deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
             const auto body = frame.rest();
             if (!frame.ok())
                 return frame.status();
+            // One pass over the encoded bytes validates the page and
+            // classifies it as zero; nothing is decoded until restore.
             const auto encoding = static_cast<PageEncoding>(encoding_byte);
-            std::vector<std::uint8_t> encoded(body.begin(), body.end());
-            std::uint8_t raw[kPageSize];
+            bool is_zero = false;
             if (encoding == PageEncoding::kRaw) {
-                if (encoded.size() != kPageSize) {
+                if (body.size() != kPageSize) {
                     return Status(
                         StatusCode::kMalformedRecord,
                         strcat_args("checkpoint image raw page is ",
-                                    encoded.size(), " bytes, want ",
+                                    body.size(), " bytes, want ",
                                     kPageSize));
                 }
-                std::memcpy(raw, encoded.data(), kPageSize);
+                is_zero = page_is_zero(body.data());
             } else if (encoding == PageEncoding::kRle) {
-                const Status status = rle_decompress(
-                    encoded.data(), encoded.size(), raw, kPageSize);
+                const Status status = rle_validate(
+                    body.data(), body.size(), kPageSize, &is_zero);
                 if (!status.ok())
                     return status;
             } else {
@@ -318,7 +318,9 @@ deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
                                           " is unknown"));
             }
             uniques.push_back(std::make_shared<const StoredPage>(
-                encoding, std::move(encoded), page_is_zero(raw)));
+                encoding,
+                std::vector<std::uint8_t>(body.begin(), body.end()),
+                is_zero));
             return Status();
         });
     if (!report.intact())

@@ -31,11 +31,9 @@
  *   frame 2+i unique page i: a PageEncoding byte, then the raw or RLE
  *             bytes (RLE streams must decode to exactly kPageSize).
  *
- * Process-local fields (mem/disk identity and dirty epochs) are
- * excluded: a deserialized checkpoint never matches a live memory's id,
- * so restore_checkpoint() takes the full path (skipping only zero pages
- * over pristine ones) — exactly right for a checkpoint arriving from
- * elsewhere.
+ * A Checkpoint holds nothing tied to the process or VM it was taken in,
+ * so the image carries every field, and restore_checkpoint() treats a
+ * deserialized checkpoint exactly like an in-memory one.
  *
  * deserialize_checkpoint() is strict and abort-free: truncation,
  * bit-flips, lying counts or lengths, out-of-range slot references, and
@@ -67,8 +65,8 @@ std::vector<std::uint8_t> serialize_checkpoint(const Checkpoint& checkpoint);
 
 /**
  * Strict parse of @p bytes into @p out. On success @p out is a complete
- * checkpoint (mem/disk identity zeroed); on failure @p out is
- * unspecified and the Status says where decoding stopped.
+ * checkpoint; on failure @p out is unspecified and the Status says where
+ * decoding stopped.
  */
 Status deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
                               Checkpoint* out);

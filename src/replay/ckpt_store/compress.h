@@ -52,6 +52,15 @@ std::vector<std::uint8_t> rle_compress(const std::uint8_t* data,
 Status rle_decompress(const std::uint8_t* data, std::size_t len,
                       std::uint8_t* out, std::size_t out_len);
 
+/**
+ * Check, without writing anything, that @p len bytes at @p data decode to
+ * exactly @p out_len bytes (the same rules and Status as rle_decompress),
+ * and set @p all_zero to whether every decoded byte would be zero. A
+ * stream that passes decodes without error later.
+ */
+Status rle_validate(const std::uint8_t* data, std::size_t len,
+                    std::size_t out_len, bool* all_zero);
+
 }  // namespace rsafe::replay::ckpt
 
 #endif  // RSAFE_REPLAY_CKPT_STORE_COMPRESS_H_

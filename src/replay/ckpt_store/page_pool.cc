@@ -56,6 +56,25 @@ StoredPage::content_equals(const std::uint8_t* data) const
     return std::memcmp(raw, data, kPageSize) == 0;
 }
 
+StoredPageTable::StoredPageTable(std::size_t size) : size_(size)
+{
+    const std::size_t chunks = (size + kChunkSize - 1) / kChunkSize;
+    chunks_.reserve(chunks);
+    for (std::size_t i = 0; i < chunks; ++i)
+        chunks_.push_back(std::make_shared<Chunk>());
+}
+
+void
+StoredPageTable::set(std::uint64_t index, StoredPageRef ref)
+{
+    if (index >= size_)
+        panic("StoredPageTable::set out of range");
+    auto& chunk = chunks_[index >> kChunkShift];
+    if (chunk.use_count() > 1)
+        chunk = std::make_shared<Chunk>(*chunk);
+    chunk->refs[index & (kChunkSize - 1)] = std::move(ref);
+}
+
 PagePool::PagePool(const PagePoolOptions& options)
     : options_(options), live_(std::make_shared<Live>())
 {

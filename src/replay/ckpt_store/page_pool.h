@@ -1,18 +1,20 @@
 #ifndef RSAFE_REPLAY_CKPT_STORE_PAGE_POOL_H_
 #define RSAFE_REPLAY_CKPT_STORE_PAGE_POOL_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "common/log.h"
 #include "common/types.h"
-#include "mem/page_table.h"
 
 /**
  * @file
- * Content-hash page dedup pool for checkpoint storage.
+ * Content-hash page dedup pool for checkpoint storage, and the
+ * copy-on-write page table that checkpoints hold its pages in.
  *
  * The checkpoint page table (StoredPageTable) shares *unmodified* pages
  * between consecutive checkpoints by reference; the pool extends that
@@ -85,8 +87,56 @@ bool page_is_zero(const std::uint8_t* data);
 /** Shared reference to an immutable stored page. */
 using StoredPageRef = std::shared_ptr<const StoredPage>;
 
-/** The checkpoint page/block map shape. */
-using StoredPageTable = mem::BasicPageTable<StoredPageRef>;
+/**
+ * A persistent (copy-on-write) map from page/block number to the stored
+ * page holding its contents.
+ *
+ * Copying a whole array per checkpoint would make an incremental
+ * checkpoint cost O(all pages) even when only a handful are dirty
+ * (Section 4.6.1 wants the opposite). The refs live instead in
+ * fixed-size chunks that consecutive checkpoints share: copying a table
+ * copies only the chunk-pointer vector, and set() clones just the one
+ * chunk it lands in when that chunk is still shared (path copying). An
+ * incremental checkpoint therefore costs O(chunks + dirty pages) pointer
+ * work.
+ */
+class StoredPageTable {
+  public:
+    /** An empty table (size 0). */
+    StoredPageTable() = default;
+
+    /** A table of @p size null refs. */
+    explicit StoredPageTable(std::size_t size);
+
+    /** @return number of slots. */
+    std::size_t size() const { return size_; }
+
+    /** @return the ref at @p index (null if never set). */
+    const StoredPageRef& at(std::uint64_t index) const
+    {
+        if (index >= size_)
+            panic("StoredPageTable::at out of range");
+        return chunks_[index >> kChunkShift]->refs[index & (kChunkSize - 1)];
+    }
+
+    /**
+     * Replace the ref at @p index. If the containing chunk is shared
+     * with another table (an older/newer checkpoint), only that chunk is
+     * cloned; the rest of the table stays shared.
+     */
+    void set(std::uint64_t index, StoredPageRef ref);
+
+  private:
+    static constexpr std::size_t kChunkShift = 6;
+    static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
+
+    struct Chunk {
+        std::array<StoredPageRef, kChunkSize> refs;
+    };
+
+    std::vector<std::shared_ptr<Chunk>> chunks_;
+    std::size_t size_ = 0;
+};
 
 /** PagePool configuration. */
 struct PagePoolOptions {

@@ -8,57 +8,6 @@
 
 namespace rsafe::rnr {
 
-namespace {
-
-/** The legacy (version 1) magic: bare count + records, no checksums. */
-constexpr std::uint64_t kLogMagicV1 = 0x52534146454C4F47ULL;  // "RSAFELOG"
-
-/**
- * Parse a legacy v1 image (magic + u64 count + packed records) into
- * @p out, tolerantly: keep everything parsed before the first defect.
- * v1 has no redundancy, so corruption classes beyond truncation and
- * malformed fields are indistinguishable.
- */
-wire::LoadReport
-parse_legacy_v1(const std::vector<std::uint8_t>& bytes, InputLog* out)
-{
-    wire::LoadReport report;
-    report.version = 1;
-    report.bytes_total = bytes.size();
-    wire::Reader in(bytes.data(), bytes.size(), "legacy v1 log");
-    in.u64();  // magic, already matched
-    const std::uint64_t count = in.u64();
-    if (!in.ok()) {
-        report.status = in.status();
-        return report;
-    }
-    report.frames_declared = count;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        report.corrupt_offset = in.pos();
-        LogRecord record;
-        const Status status = LogRecord::decode(in, &record);
-        if (!status.ok()) {
-            report.status =
-                Status(status.code(),
-                       strcat_args("legacy v1 record #", i, ": ",
-                                   status.message()));
-            return report;
-        }
-        out->append(std::move(record));
-        ++report.frames_recovered;
-    }
-    report.corrupt_offset = in.pos();
-    if (in.remaining() != 0) {
-        report.status = Status(
-            StatusCode::kTrailingBytes,
-            strcat_args(in.remaining(),
-                        " bytes of trailing garbage after legacy v1 log"));
-    }
-    return report;
-}
-
-}  // namespace
-
 std::size_t
 InputLog::append(LogRecord record)
 {
@@ -131,19 +80,6 @@ InputLog::deserialize_tolerant(const std::vector<std::uint8_t>& bytes,
     obs::ScopedSpan span("wire.load", "wire");
     out->records_.clear();
     out->total_bytes_ = 0;
-
-    // Legacy v1 images carry their own magic; route them to the
-    // unchecksummed parser (and flag version 1 in the report).
-    if (wire::Reader(bytes.data(), bytes.size(), "log magic").u64() ==
-        kLogMagicV1) {
-        auto report = parse_legacy_v1(bytes, out);
-        if (!report.intact()) {
-            obs::Tracer::instance().instant("wire.integrity_failure",
-                                            "wire", "recovered",
-                                            report.frames_recovered);
-        }
-        return report;
-    }
 
     auto report = wire::read_frames(
         bytes, wire::PayloadKind::kInputLog,

@@ -24,9 +24,9 @@
  * frame per record. Parsing never aborts the process: strict APIs return
  * a Status, and the tolerant APIs recover every record before the first
  * defect so a replayer can run up to the corruption boundary while the
- * LoadReport says exactly what was lost. Legacy version-1 images (bare
- * magic + count + records, no checksums) are still read, flagged as
- * version 1 in the report.
+ * LoadReport says exactly what was lost. A pre-wire-format image (the
+ * old unchecksummed "RSAFELOG" layout) is not read: it fails with
+ * kBadMagic like any foreign file.
  */
 
 namespace rsafe::rnr {

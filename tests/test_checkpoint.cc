@@ -47,9 +47,9 @@ TEST(CheckpointStore, FirstCheckpointIsFullCopy)
     replay::CheckpointStore store(4);
     auto ck = store.take(*vm, env, 0);
     EXPECT_EQ(ck->pages.size(), vm->mem().num_pages());
-    EXPECT_EQ(ck->blocks.size(), vm->hub().disk().num_blocks());
+    EXPECT_EQ(ck->blocks.size(), vm->hub().disk().num_pages());
     EXPECT_EQ(ck->copies,
-              vm->mem().num_pages() + vm->hub().disk().num_blocks());
+              vm->mem().num_pages() + vm->hub().disk().num_pages());
 }
 
 TEST(CheckpointStore, IncrementalCheckpointsCopyOnlyDirty)
@@ -181,6 +181,58 @@ TEST(CheckpointRestore, RoundTripsFullMachineState)
     EXPECT_EQ(resume_vm->cpu().icount(), recorded.vm->cpu().icount());
     EXPECT_EQ(resume_vm->cpu().state().regs,
               recorded.vm->cpu().state().regs);
+}
+
+/** @return the highest-numbered pristine page of @p store. */
+std::uint64_t
+last_pristine(const mem::PageStore& store)
+{
+    for (std::uint64_t page = store.num_pages(); page-- > 0;) {
+        if (store.pristine(page))
+            return page;
+    }
+    ADD_FAILURE() << "no pristine page";
+    return 0;
+}
+
+TEST(CheckpointRestore, SameVmRollbackRestoresRamAndDisk)
+{
+    auto vm = workloads::make_vm(small_profile());
+    auto& mem = vm->mem();
+    auto& disk = vm->hub().disk();
+    rnr::InputLog empty_log;
+    rnr::Replayer env(vm.get(), &empty_log, 0, rnr::ReplayOptions{});
+    replay::CheckpointStore store(0);
+    const std::vector<std::uint8_t> block_a(kDiskBlockSize, 0xa1);
+    const std::vector<std::uint8_t> block_b(kDiskBlockSize, 0xb2);
+
+    // A full checkpoint, then an incremental one holding a written RAM
+    // page and disk block: the rollback target shares chunks with both.
+    store.take(*vm, env, 0);
+    mem.write_raw(0x100000, 8, 0x1111);
+    disk.write(2, block_a.data());
+    const Addr zero_page = last_pristine(mem.pages());
+    const BlockNum zero_block = last_pristine(disk);
+    const auto ck = store.take(*vm, env, 1);
+    const std::uint64_t at_take = vm->state_hash();
+
+    // Change RAM and disk, including a page and a block that were zero
+    // (and pristine) when the checkpoint was taken.
+    mem.write_raw(0x100000, 8, 0x2222);
+    mem.write_raw(0x200000, 8, 0x3333);
+    mem.write_raw(zero_page * kPageSize + 16, 8, 0x4444);
+    disk.write(2, block_b.data());
+    disk.write(zero_block, block_b.data());
+    ASSERT_NE(vm->state_hash(), at_take);
+
+    replay::restore_checkpoint(*ck, vm.get(), &env);
+    EXPECT_EQ(vm->state_hash(), at_take);
+    EXPECT_EQ(mem.read_raw(0x100000, 8), 0x1111u);
+    EXPECT_EQ(mem.read_raw(zero_page * kPageSize + 16, 8), 0u);
+    EXPECT_EQ(disk.data(2)[0], 0xa1);
+    EXPECT_EQ(disk.data(zero_block)[0], 0);
+    EXPECT_EQ(mem.pages().dirty_count(), 0u);
+    EXPECT_EQ(disk.dirty_count(), 0u);
 }
 
 TEST(CheckpointRestore, GeometryMismatchRejected)

@@ -72,7 +72,7 @@ pristine_pages(const hv::Vm& vm)
 {
     std::size_t n = 0;
     for (Addr page = 0; page < vm.mem().num_pages(); ++page)
-        n += vm.mem().page_pristine(page) ? 1 : 0;
+        n += vm.mem().pages().pristine(page) ? 1 : 0;
     return n;
 }
 
@@ -322,7 +322,7 @@ expect_initial_take_matches_interning_every_page(bool dedup, bool compress)
     // Besides the loaded images: a written block, and a page written
     // back to zero (non-pristine, yet zero).
     const std::vector<std::uint8_t> block(kDiskBlockSize, 0x5a);
-    disk.write_block(3, block.data());
+    disk.write(3, block.data());
     mem.write_raw(mem.size() - 8, 8, 0);
     const std::size_t pristine = pristine_pages(*vm);
     ASSERT_GT(pristine, 0u);
@@ -333,11 +333,11 @@ expect_initial_take_matches_interning_every_page(bool dedup, bool compress)
     pool_options.compress = compress;
     replay::ckpt::PagePool pool(pool_options);
     replay::ckpt::StoredPageTable pages(mem.num_pages());
-    replay::ckpt::StoredPageTable blocks(disk.num_blocks());
+    replay::ckpt::StoredPageTable blocks(disk.num_pages());
     for (Addr page = 0; page < mem.num_pages(); ++page)
         pages.set(page, pool.intern(mem.page_data(page)));
-    for (BlockNum block = 0; block < disk.num_blocks(); ++block)
-        blocks.set(block, pool.intern(disk.block_data(block)));
+    for (BlockNum block = 0; block < disk.num_pages(); ++block)
+        blocks.set(block, pool.intern(disk.data(block)));
 
     rnr::InputLog empty_log;
     rnr::Replayer env(vm.get(), &empty_log, 0, rnr::ReplayOptions{});
@@ -346,7 +346,7 @@ expect_initial_take_matches_interning_every_page(bool dedup, bool compress)
     options.compress = compress;
     replay::CheckpointStore store(options);
     const auto ck = store.take(*vm, env, 0);
-    EXPECT_EQ(ck->copies, mem.num_pages() + disk.num_blocks());
+    EXPECT_EQ(ck->copies, mem.num_pages() + disk.num_pages());
 
     replay::Checkpoint reference = *ck;
     reference.pages = pages;
@@ -548,11 +548,9 @@ TEST(CkptImage, WireRoundTripIsCanonicalAndRestorable)
         replay::ckpt::deserialize_checkpoint(image, &shipped);
     ASSERT_TRUE(status.ok()) << status.to_string();
 
-    // Same machine instant, canonical bytes, identity dropped.
+    // Same machine instant, canonical bytes.
     EXPECT_EQ(replay::digest_of(shipped), replay::digest_of(*ck));
     EXPECT_EQ(replay::ckpt::serialize_checkpoint(shipped), image);
-    EXPECT_EQ(shipped.mem_id, 0u);
-    EXPECT_EQ(shipped.disk_id, 0u);
 
     // A VM restored from the *deserialized* checkpoint replays to the
     // recorded machine's exact final state — the remote-AR property.
@@ -703,9 +701,9 @@ all_written(core::VmFactory factory)
             mem.write_block(page * kPageSize, bytes.data(), kPageSize);
         }
         auto& disk = vm->hub().disk();
-        for (BlockNum block = 0; block < disk.num_blocks(); ++block) {
-            disk.read_block(block, bytes.data());
-            disk.write_block(block, bytes.data());
+        for (BlockNum block = 0; block < disk.num_pages(); ++block) {
+            disk.read(block, bytes.data());
+            disk.write(block, bytes.data());
         }
         return vm;
     };

@@ -105,14 +105,14 @@ TEST(Nic, TxCounts)
 class BlockDevTest : public ::testing::Test {
   protected:
     BlockDevTest() : disk_(8), dev_(&disk_, 3, 100) {}
-    mem::Disk disk_;
+    mem::PageStore disk_;
     BlockDev dev_;
 };
 
 TEST_F(BlockDevTest, ReadCompletesWithData)
 {
     std::vector<std::uint8_t> block(kDiskBlockSize, 0x7e);
-    disk_.write_block(3, block.data());
+    disk_.write(3, block.data());
 
     dev_.set_block(3);
     dev_.set_addr(0x1000);
@@ -137,11 +137,11 @@ TEST_F(BlockDevTest, WriteAppliedAtCompletion)
     dev_.set_addr(0x2000);
     dev_.go(0, /*is_read=*/false, payload);
     // Not yet visible on the disk.
-    EXPECT_NE(disk_.block_data(5)[0], 0x44);
+    EXPECT_NE(disk_.data(5)[0], 0x44);
     auto done = dev_.take_completion(dev_.next_completion());
     ASSERT_TRUE(done.has_value());
     EXPECT_FALSE(done->is_read);
-    EXPECT_EQ(disk_.block_data(5)[0], 0x44);
+    EXPECT_EQ(disk_.data(5)[0], 0x44);
 }
 
 TEST_F(BlockDevTest, BusyCommandDropped)
@@ -172,7 +172,7 @@ TEST_F(BlockDevTest, StateExportImportRoundTrip)
     EXPECT_EQ(state.block, 2u);
     EXPECT_EQ(state.guest_addr, 0x3000u);
 
-    mem::Disk disk2(8);
+    mem::PageStore disk2(8);
     BlockDev dev2(&disk2, 99, 100);
     dev2.import_state(state);
     EXPECT_EQ(dev2.status(), 0u);  // busy restored
@@ -227,7 +227,7 @@ TEST_F(HubTest, DiskWriteSnapshotsGuestBuffer)
     mem_.write_raw(0x4000, 8, 0xdeadULL);
     auto done = hub_->force_disk_completion();
     ASSERT_TRUE(done.has_value());
-    const auto* data = hub_->disk().block_data(1);
+    const auto* data = hub_->disk().data(1);
     EXPECT_EQ(data[0], 0xed);
     EXPECT_EQ(data[1], 0xfe);
 }

@@ -292,7 +292,7 @@ TEST(VmState, HashCoversDiskAndMemory)
     }
     EXPECT_EQ(a.state_hash(), b.state_hash());
     std::vector<std::uint8_t> block(kDiskBlockSize, 9);
-    a.hub().disk().write_block(0, block.data());
+    a.hub().disk().write(0, block.data());
     EXPECT_NE(a.state_hash(), b.state_hash());
 }
 

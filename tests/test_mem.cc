@@ -1,4 +1,4 @@
-/** @file Unit tests for guest memory, the virtual disk, and page copies. */
+/** @file Unit tests for guest memory and the page store behind RAM and disk. */
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/log.h"
-#include "mem/disk.h"
+#include "mem/page_store.h"
 #include "mem/phys_mem.h"
 
 namespace rsafe::mem {
@@ -87,15 +87,15 @@ TEST(PhysMem, DirtyTracking)
 {
     PhysMem mem(4 * kPageSize);
     mem.clear_dirty();
-    EXPECT_EQ(mem.dirty_count(), 0u);
+    EXPECT_EQ(mem.pages().dirty_count(), 0u);
     ASSERT_EQ(mem.write(kPageSize + 8, 8, 7), MemResult::kOk);
     ASSERT_EQ(mem.write(3 * kPageSize, 8, 7), MemResult::kOk);
-    const auto dirty = mem.dirty_pages();
+    const auto dirty = mem.pages().dirty_pages();
     ASSERT_EQ(dirty.size(), 2u);
     EXPECT_EQ(dirty[0], 1u);
     EXPECT_EQ(dirty[1], 3u);
     mem.clear_dirty();
-    EXPECT_EQ(mem.dirty_count(), 0u);
+    EXPECT_EQ(mem.pages().dirty_count(), 0u);
 }
 
 TEST(PhysMem, StraddlingWriteDirtiesBothPages)
@@ -103,7 +103,7 @@ TEST(PhysMem, StraddlingWriteDirtiesBothPages)
     PhysMem mem(2 * kPageSize);
     mem.clear_dirty();
     ASSERT_EQ(mem.write(kPageSize - 4, 8, ~0ULL), MemResult::kOk);
-    EXPECT_EQ(mem.dirty_pages().size(), 2u);
+    EXPECT_EQ(mem.pages().dirty_pages().size(), 2u);
 }
 
 TEST(PhysMem, BlockTransfersAndPageData)
@@ -127,7 +127,7 @@ TEST(PhysMem, RestorePage)
     mem.clear_dirty();
     mem.restore_page(1, page.data());
     EXPECT_EQ(mem.read_raw(kPageSize, 1), 0x5au);
-    EXPECT_EQ(mem.dirty_pages(), std::vector<Addr>{1});
+    EXPECT_EQ(mem.pages().dirty_pages(), std::vector<std::uint64_t>{1});
 }
 
 TEST(PhysMem, ContentHashDetectsChanges)
@@ -164,7 +164,7 @@ TEST(PhysMem, FreshMemoryIsPristineEverywhereAndReadsZero)
 {
     PhysMem mem(4 * kPageSize);
     for (Addr page = 0; page < mem.num_pages(); ++page)
-        EXPECT_TRUE(mem.page_pristine(page)) << "page " << page;
+        EXPECT_TRUE(mem.pages().pristine(page)) << "page " << page;
     EXPECT_EQ(all_bytes(mem), std::vector<std::uint8_t>(mem.size(), 0));
     Word out = 1;
     ASSERT_EQ(mem.read(kPageSize + 8, 8, &out), MemResult::kOk);
@@ -204,7 +204,7 @@ TEST(PhysMem, EveryByteChangingEntryPointClearsPristine)
             const bool touched =
                 std::find(c.touched.begin(), c.touched.end(), page) !=
                 c.touched.end();
-            EXPECT_EQ(mem.page_pristine(page), !touched)
+            EXPECT_EQ(mem.pages().pristine(page), !touched)
                 << c.name << ", page " << page;
         }
     }
@@ -216,8 +216,8 @@ TEST(PhysMem, RefusedStoreLeavesThePagePristine)
     mem.set_perms(0, kPageSize, kPermRX);
     EXPECT_EQ(mem.write(8, 8, 1), MemResult::kNoPerm);
     EXPECT_EQ(mem.write(2 * kPageSize, 8, 1), MemResult::kOutOfRange);
-    EXPECT_TRUE(mem.page_pristine(0));
-    EXPECT_TRUE(mem.page_pristine(1));
+    EXPECT_TRUE(mem.pages().pristine(0));
+    EXPECT_TRUE(mem.pages().pristine(1));
 }
 
 TEST(PhysMem, PristineNeverReturnsEvenForAZeroedPage)
@@ -225,15 +225,15 @@ TEST(PhysMem, PristineNeverReturnsEvenForAZeroedPage)
     PhysMem mem(2 * kPageSize);
     ASSERT_EQ(mem.write(16, 8, 0x1234), MemResult::kOk);
     ASSERT_EQ(mem.write(16, 8, 0), MemResult::kOk);  // back to all zero
-    EXPECT_FALSE(mem.page_pristine(0));
+    EXPECT_FALSE(mem.pages().pristine(0));
     for (int i = 0; i < 3; ++i) {
         mem.clear_dirty();
-        EXPECT_FALSE(mem.page_pristine(0)) << "clear_dirty #" << i;
-        EXPECT_TRUE(mem.page_pristine(1));
+        EXPECT_FALSE(mem.pages().pristine(0)) << "clear_dirty #" << i;
+        EXPECT_TRUE(mem.pages().pristine(1));
     }
     // A zero store into a pristine page still counts as a write.
     ASSERT_EQ(mem.write(kPageSize, 8, 0), MemResult::kOk);
-    EXPECT_FALSE(mem.page_pristine(1));
+    EXPECT_FALSE(mem.pages().pristine(1));
 }
 
 TEST(PhysMem, ContentHashSkipsPristinePagesButMatchesEveryByte)
@@ -245,24 +245,27 @@ TEST(PhysMem, ContentHashSkipsPristinePagesButMatchesEveryByte)
     EXPECT_EQ(mem.content_hash(), fnv_bytes(all_bytes(mem)));
 }
 
+// The guest disk is a PageStore (one block per page): these pin the
+// store's behaviour through the disk's block-level use of it.
+
 TEST(Disk, ReadWriteBlocks)
 {
-    Disk disk(4);
+    PageStore disk(4);
     std::vector<std::uint8_t> block(kDiskBlockSize, 0x11);
-    disk.write_block(2, block.data());
+    disk.write(2, block.data());
     std::vector<std::uint8_t> out(kDiskBlockSize);
-    disk.read_block(2, out.data());
+    disk.read(2, out.data());
     EXPECT_EQ(out[0], 0x11);
     EXPECT_EQ(out[kDiskBlockSize - 1], 0x11);
 }
 
 TEST(Disk, DirtyTracking)
 {
-    Disk disk(4);
+    PageStore disk(4);
     std::vector<std::uint8_t> block(kDiskBlockSize, 0x22);
-    disk.write_block(3, block.data());
-    disk.write_block(1, block.data());
-    const auto dirty = disk.dirty_blocks();
+    disk.write(3, block.data());
+    disk.write(1, block.data());
+    const auto dirty = disk.dirty_pages();
     ASSERT_EQ(dirty.size(), 2u);
     EXPECT_EQ(dirty[0], 1u);
     EXPECT_EQ(dirty[1], 3u);
@@ -272,48 +275,48 @@ TEST(Disk, DirtyTracking)
 
 TEST(Disk, OutOfRangePanics)
 {
-    Disk disk(2);
+    PageStore disk(2);
     std::vector<std::uint8_t> block(kDiskBlockSize);
-    EXPECT_THROW(disk.read_block(2, block.data()), PanicError);
-    EXPECT_THROW(disk.write_block(9, block.data()), PanicError);
-    EXPECT_THROW(disk.block_data(5), PanicError);
+    EXPECT_THROW(disk.read(2, block.data()), PanicError);
+    EXPECT_THROW(disk.write(9, block.data()), PanicError);
+    EXPECT_THROW(disk.data(5), PanicError);
 }
 
 TEST(Disk, ZeroBlocksFails)
 {
-    EXPECT_THROW(Disk(0), FatalError);
+    EXPECT_THROW(PageStore(0), FatalError);
 }
 
 TEST(Disk, FreshDiskIsPristineEverywhereAndReadsZero)
 {
-    Disk disk(3);
+    PageStore disk(3);
     std::vector<std::uint8_t> out(kDiskBlockSize, 0xff);
-    for (BlockNum block = 0; block < disk.num_blocks(); ++block) {
-        EXPECT_TRUE(disk.block_pristine(block)) << "block " << block;
-        disk.read_block(block, out.data());
+    for (BlockNum block = 0; block < disk.num_pages(); ++block) {
+        EXPECT_TRUE(disk.pristine(block)) << "block " << block;
+        disk.read(block, out.data());
         EXPECT_EQ(out, std::vector<std::uint8_t>(kDiskBlockSize, 0));
     }
 }
 
 TEST(Disk, WriteBlockClearsPristineForGood)
 {
-    Disk disk(3);
+    PageStore disk(3);
     const std::vector<std::uint8_t> zero(kDiskBlockSize, 0);
-    disk.write_block(1, zero.data());  // a zero write is still a write
-    EXPECT_TRUE(disk.block_pristine(0));
-    EXPECT_FALSE(disk.block_pristine(1));
-    EXPECT_TRUE(disk.block_pristine(2));
+    disk.write(1, zero.data());  // a zero write is still a write
+    EXPECT_TRUE(disk.pristine(0));
+    EXPECT_FALSE(disk.pristine(1));
+    EXPECT_TRUE(disk.pristine(2));
     disk.clear_dirty();
     disk.clear_dirty();
-    EXPECT_FALSE(disk.block_pristine(1));
+    EXPECT_FALSE(disk.pristine(1));
 }
 
 TEST(Disk, ContentHashSkipsPristineBlocksButMatchesEveryByte)
 {
-    Disk disk(3);
+    PageStore disk(3);
     std::vector<std::uint8_t> block(kDiskBlockSize, 0);
     block[100] = 7;
-    disk.write_block(2, block.data());
+    disk.write(2, block.data());
     std::vector<std::uint8_t> bytes(2 * kDiskBlockSize, 0);
     bytes.insert(bytes.end(), block.begin(), block.end());
     EXPECT_EQ(disk.content_hash(), fnv_bytes(bytes));
@@ -321,10 +324,10 @@ TEST(Disk, ContentHashSkipsPristineBlocksButMatchesEveryByte)
 
 TEST(Disk, ContentHashDetectsChanges)
 {
-    Disk a(2), b(2);
+    PageStore a(2), b(2);
     EXPECT_EQ(a.content_hash(), b.content_hash());
     std::vector<std::uint8_t> block(kDiskBlockSize, 1);
-    a.write_block(0, block.data());
+    a.write(0, block.data());
     EXPECT_NE(a.content_hash(), b.content_hash());
 }
 

@@ -1,6 +1,6 @@
 /** @file Wire-format hardening tests: header validation, CRC framing,
- *  truncation-tolerant recovery, legacy v1 compatibility, checkpoint
- *  digests, and the deterministic fault injector's aim. */
+ *  truncation-tolerant recovery, checkpoint digests, and the
+ *  deterministic fault injector's aim. */
 
 #include <gtest/gtest.h>
 
@@ -158,6 +158,21 @@ TEST(WireHeader, FailureTaxonomyInCheckOrder)
         EXPECT_EQ(wire::decode_header(bytes, &out).code(),
                   StatusCode::kHeaderCorrupt);
     }
+    // A log in the pre-wire "RSAFELOG" layout (magic + count + records,
+    // no checksums) is a foreign file: kBadMagic, nothing loaded.
+    {
+        const InputLog log = make_log(3);
+        std::vector<std::uint8_t> bytes;
+        wire::Writer w(&bytes);
+        w.u64(0x52534146454C4F47ULL);  // "RSAFELOG"
+        w.u64(log.size());
+        for (std::size_t i = 0; i < log.size(); ++i)
+            log.at(i).serialize(&bytes);
+        InputLog out;
+        const auto report = InputLog::deserialize_tolerant(bytes, &out);
+        EXPECT_EQ(report.status.code(), StatusCode::kBadMagic);
+        EXPECT_EQ(out.size(), 0u);
+    }
 }
 
 TEST(WireFrames, RejectsCrossFeedingPayloadKinds)
@@ -266,35 +281,6 @@ TEST(LogWire, ForensicReportLocatesTheDamage)
     EXPECT_EQ(report.corrupt_offset, frames[3].offset);
     EXPECT_EQ(out.size(), 3u);
     EXPECT_NE(report.to_string().find("record #3"), std::string::npos);
-}
-
-TEST(LogWire, LegacyV1ImagesStillLoad)
-{
-    // A v1 image (bare magic + count + records) written by the previous
-    // format revision: still readable, flagged version 1.
-    const InputLog log = make_log(3);
-    std::vector<std::uint8_t> v1;
-    wire::Writer w(&v1);
-    w.u64(0x52534146454C4F47ULL);  // "RSAFELOG", the v1 magic
-    w.u64(log.size());
-    for (std::size_t i = 0; i < log.size(); ++i)
-        log.at(i).serialize(&v1);
-
-    InputLog out;
-    const auto report = InputLog::deserialize_tolerant(v1, &out);
-    EXPECT_TRUE(report.intact());
-    EXPECT_EQ(report.version, 1u);
-    ASSERT_EQ(out.size(), log.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out.at(i).to_string(), log.at(i).to_string());
-
-    // Truncated v1: still a prefix recovery, never an abort.
-    const std::vector<std::uint8_t> trunc(v1.begin(), v1.end() - 3);
-    InputLog partial;
-    const auto trunc_report =
-        InputLog::deserialize_tolerant(trunc, &partial);
-    EXPECT_EQ(trunc_report.status.code(), StatusCode::kTruncated);
-    EXPECT_EQ(partial.size(), log.size() - 1);
 }
 
 TEST(LogWire, FutureVersionIsAnExplicitVersionError)

@@ -35,9 +35,7 @@
  *    each Table 3 benchmark (golden_profile shape) plus manifest.txt
  *    with the machine digest each must replay to — the wire-compat CI
  *    gate (test_wire_compat) re-replays these bytes and any format or
- *    determinism drift fails the build;
- *  - a legacy version-1 encoding of one golden log, pinning the
- *    old-format compatibility path.
+ *    determinism drift fails the build.
  *
  * Everything here is seeded; reruns produce byte-identical output.
  */
@@ -174,19 +172,6 @@ sample_flight_box()
     return box;
 }
 
-/** Encode @p log in the legacy v1 format (magic + count + records). */
-std::vector<std::uint8_t>
-encode_legacy_v1(const rnr::InputLog& log)
-{
-    std::vector<std::uint8_t> out;
-    rnr::wire::Writer w(&out);
-    w.u64(0x52534146454C4F47ULL);  // "RSAFELOG", the v1 magic
-    w.u64(log.size());
-    for (std::size_t i = 0; i < log.size(); ++i)
-        log.at(i).serialize(&out);
-    return out;
-}
-
 /** Write @p image plus one faulted variant per FaultKind into @p dir. */
 void
 emit_fault_variants(const fs::path& dir, const std::string& stem,
@@ -231,7 +216,6 @@ main(int argc, char** argv)
     const auto small_image = small.serialize();
     emit_fault_variants(root / "log", "records", small_image, 0x5EED0001);
     write_file(root / "log" / "empty.bin", rnr::InputLog().serialize());
-    write_file(root / "log" / "legacy_v1.bin", encode_legacy_v1(small));
 
     replay::CheckpointDigest digest;
     digest.id = 7;
@@ -266,7 +250,6 @@ main(int argc, char** argv)
     write_file(root / "wire" / "digest.bin", digest.serialize());
     write_file(root / "wire" / "ckpt_image.bin", ckpt_image);
     write_file(root / "wire" / "empty.bin", rnr::InputLog().serialize());
-    write_file(root / "wire" / "legacy_v1.bin", encode_legacy_v1(small));
 
     // ---- golden replay corpus ---------------------------------------
     std::ostringstream manifest;
@@ -301,7 +284,6 @@ main(int argc, char** argv)
                                                   digest_bytes.size()))
                       << "\n";
     };
-    std::vector<std::uint8_t> fileio_image;
     for (const std::string& name : workloads::benchmark_names()) {
         const auto profile = workloads::golden_profile(name);
         auto factory = workloads::vm_factory(profile);
@@ -321,15 +303,6 @@ main(int argc, char** argv)
                  << " " << vm->cpu().icount() << " "
                  << hex64(vm->state_hash()) << "\n";
         emit_golden_ckpt(name, recorder.log(), factory);
-        if (name == "fileio") {
-            // The same recording in the legacy v1 encoding: replaying it
-            // must land on the same machine digest.
-            const auto v1 = encode_legacy_v1(recorder.log());
-            write_file(root / "golden" / "fileio_v1.rnrlog", v1);
-            manifest << "fileio-v1 fileio_v1.rnrlog "
-                     << recorder.log().size() << " " << vm->cpu().icount()
-                     << " " << hex64(vm->state_hash()) << "\n";
-        }
     }
     // The golden attack recording: the shared attack mix (one attacker,
     // test-sized). rsafe-report and test_obs replay these bytes and must
