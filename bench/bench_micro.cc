@@ -7,22 +7,25 @@
  * Besides the google-benchmark suite, the binary always finishes by
  * writing machine-readable results to BENCH_micro.json (instructions/sec
  * and ns/instr for the TB engine and for the exec_one reference
- * interpreter (TB off) with the decode cache on and off, plus
- * full/incremental checkpoint costs and machine-independent speedup
- * ratios). Pass --json-only to skip the google-benchmark suite and emit
- * just the JSON.
+ * interpreter (TB off) with the decode cache on and off, the call/ret
+ * loop also with the recorder's RAS alarms and eviction exits armed,
+ * plus full/incremental checkpoint costs and machine-independent
+ * speedup ratios). Every figure is a median over kRounds rounds. Pass
+ * --json-only to skip the google-benchmark suite and emit just the JSON.
  *
  * Pass --gate <baseline.json> to run as a CI perf gate: the fresh
  * speedup ratios are compared against the checked-in baseline and the
  * process exits non-zero on a regression beyond the tolerance
  * (RSAFE_BENCH_GATE_TOLERANCE, percent, default 10). Ratios — not
  * absolute throughput — are gated so the check is meaningful across
- * machines of different speeds. The TB-over-interpreter ALU speedup
+ * machines of different speeds; each is the median of per-round ratios
+ * whose two sides ran back to back. The TB-over-interpreter ALU speedup
  * additionally has an absolute floor of 2.5x.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -30,6 +33,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cpu/cpu.h"
 #include "cpu/ras.h"
@@ -220,38 +224,87 @@ BENCHMARK(BM_MemContentHash);
 
 // --- Machine-readable results (BENCH_micro.json) ---
 
-/** Timed measurement of one metric. */
+/**
+ * Rounds of every timed measurement. Rows report per-configuration
+ * medians; the gated ratios are medians of per-round ratios, each round
+ * timing both sides of a ratio back to back, so host noise hits both
+ * sides of a round alike and the median ignores the rounds it does not.
+ */
+constexpr int kRounds = 31;
+
+/** @return the median of @p values. */
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const std::size_t n = values.size();
+    return n % 2 == 1 ? values[n / 2]
+                      : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+}
+
+/** Throughput of one loop configuration. */
 struct InterpResult {
     double instr_per_sec = 0.0;
     double ns_per_instr = 0.0;
 };
 
-/** Run @p instrs guest instructions of a loop program and time them. */
-InterpResult
-measure_interpreter(const isa::Image& image, bool tb, bool decode_cache,
-                    InstrCount instrs)
-{
-    mem::PhysMem mem(1 << 20);
-    mem.load_image(image);
-    mem.set_perms(image.base(), image.size(), mem::kPermRX);
-    cpu::Cpu cpu(&mem);
-    NullEnv env;
-    cpu.set_env(&env);
-    cpu.set_tb_enabled(tb);
-    cpu.set_decode_cache_enabled(decode_cache);
-    cpu.state().pc = image.base();
-    cpu.state().sp = 0x80000;
+/**
+ * One loop program on its own CPU, timed in slices of a fixed number of
+ * guest instructions. Translated blocks and the decode cache stay warm
+ * from slice to slice, so every slice times steady-state execution.
+ */
+class LoopBench {
+  public:
+    LoopBench(const isa::Image& image, bool tb, bool decode_cache,
+              bool ras_armed, InstrCount slice)
+        : mem_(1 << 20), cpu_(&mem_), slice_(slice)
+    {
+        mem_.load_image(image);
+        mem_.set_perms(image.base(), image.size(), mem::kPermRX);
+        cpu_.set_env(&env_);
+        cpu_.set_tb_enabled(tb);
+        cpu_.set_decode_cache_enabled(decode_cache);
+        // The recorder's configuration: RAS alarms and eviction exits on.
+        cpu_.vmcs().controls.ras_alarm_enabled = ras_armed;
+        cpu_.vmcs().controls.ras_evict_exit = ras_armed;
+        cpu_.state().pc = image.base();
+        cpu_.state().sp = 0x80000;
+        cpu_.run(~static_cast<Cycles>(0), slice / 10);  // warm up
+    }
 
-    cpu.run(~static_cast<Cycles>(0), instrs / 10);  // warm up
-    const InstrCount start = cpu.icount();
-    const auto t0 = std::chrono::steady_clock::now();
-    cpu.run(~static_cast<Cycles>(0), start + instrs);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count();
-    const double executed = static_cast<double>(cpu.icount() - start);
-    return {executed / (ns * 1e-9), ns / executed};
-}
+    // cpu_ keeps the addresses of mem_ and env_.
+    LoopBench(const LoopBench&) = delete;
+    LoopBench& operator=(const LoopBench&) = delete;
+
+    /** Time one slice. @return its throughput in instructions/second. */
+    double run_slice()
+    {
+        const InstrCount start = cpu_.icount();
+        const auto t0 = std::chrono::steady_clock::now();
+        cpu_.run(~static_cast<Cycles>(0), start + slice_);
+        const auto t1 = std::chrono::steady_clock::now();
+        const double ns =
+            std::chrono::duration<double, std::nano>(t1 - t0).count();
+        const double ips =
+            static_cast<double>(cpu_.icount() - start) / (ns * 1e-9);
+        ips_.push_back(ips);
+        return ips;
+    }
+
+    /** @return the median slice throughput. */
+    InterpResult result() const
+    {
+        const double ips = median(ips_);
+        return {ips, 1e9 / ips};
+    }
+
+  private:
+    NullEnv env_;
+    mem::PhysMem mem_;
+    cpu::Cpu cpu_;
+    InstrCount slice_;
+    std::vector<double> ips_;
+};
 
 isa::Image
 alu_loop_image()
@@ -279,7 +332,7 @@ call_ret_image()
     return a.link();
 }
 
-/** Wall-clock costs of the checkpoint paths. */
+/** Wall-clock costs of the checkpoint paths (medians over kRounds). */
 struct CheckpointResult {
     double full_take_ns = 0.0;
     std::size_t full_pages = 0;
@@ -291,45 +344,53 @@ struct CheckpointResult {
 CheckpointResult
 measure_checkpoint()
 {
+    using Clock = std::chrono::steady_clock;
+    const auto ns_between = [](Clock::time_point t0, Clock::time_point t1) {
+        return std::chrono::duration<double, std::nano>(t1 - t0).count();
+    };
     auto profile = workloads::benchmark_profile("radiosity");
     profile.rdtsc_prob = 0.0;
-    auto vm = workloads::make_vm(profile);
-    rnr::InputLog empty_log;
-    rnr::Replayer env(vm.get(), &empty_log, 0, rnr::ReplayOptions{});
-    replay::CheckpointStore store(4);
-    vm->cpu().run(~static_cast<Cycles>(0), 1000);
 
     CheckpointResult out;
-    const auto t0 = std::chrono::steady_clock::now();
-    auto first = store.take(*vm, env, 0);
-    const auto t1 = std::chrono::steady_clock::now();
-    out.full_take_ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count();
-    out.full_pages = first->copies;
+    std::vector<double> full_ns, incremental_ns, restore_ns;
+    // Each round starts from a fresh VM so every full take sees the same
+    // memory: a rerun on the same VM would find different pages pristine.
+    for (int round = 0; round < kRounds; ++round) {
+        auto vm = workloads::make_vm(profile);
+        rnr::InputLog empty_log;
+        rnr::Replayer env(vm.get(), &empty_log, 0, rnr::ReplayOptions{});
+        replay::CheckpointStore store(4);
+        vm->cpu().run(~static_cast<Cycles>(0), 1000);
 
-    // Dirty a small, fixed working set; an O(dirty) incremental take
-    // should cost orders of magnitude less than the full copy above.
-    constexpr std::size_t kDirty = 8;
-    out.dirty_pages = kDirty;
-    for (std::size_t i = 0; i < kDirty; ++i)
-        vm->mem().write_raw(0x40000 + i * kPageSize, 8, i + 1);
-    const auto t2 = std::chrono::steady_clock::now();
-    auto second = store.take(*vm, env, 1);
-    const auto t3 = std::chrono::steady_clock::now();
-    out.incremental_take_ns =
-        std::chrono::duration<double, std::nano>(t3 - t2).count();
+        const auto t0 = Clock::now();
+        auto first = store.take(*vm, env, 0);
+        full_ns.push_back(ns_between(t0, Clock::now()));
+        out.full_pages = first->copies;
 
-    // Rollback restore into the same VM. Restore keeps no record of
-    // which VM a checkpoint came from, so this is the full path: every
-    // captured page except a zero one over a pristine page is rewritten
-    // (and its code generation bumped), the dirtied ones included.
-    for (std::size_t i = 0; i < kDirty; ++i)
-        vm->mem().write_raw(0x80000 + i * kPageSize, 8, i + 1);
-    const auto t4 = std::chrono::steady_clock::now();
-    replay::restore_checkpoint(*second, vm.get(), &env);
-    const auto t5 = std::chrono::steady_clock::now();
-    out.rollback_restore_ns =
-        std::chrono::duration<double, std::nano>(t5 - t4).count();
+        // Dirty a small, fixed working set; an O(dirty) incremental take
+        // should cost orders of magnitude less than the full copy above.
+        constexpr std::size_t kDirty = 8;
+        out.dirty_pages = kDirty;
+        for (std::size_t i = 0; i < kDirty; ++i)
+            vm->mem().write_raw(0x40000 + i * kPageSize, 8, i + 1);
+        const auto t1 = Clock::now();
+        auto second = store.take(*vm, env, 1);
+        incremental_ns.push_back(ns_between(t1, Clock::now()));
+
+        // Rollback restore into the same VM. Restore keeps no record of
+        // which VM a checkpoint came from, so this is the full path:
+        // every captured page except a zero one over a pristine page is
+        // rewritten (and its code generation bumped), the dirtied ones
+        // included.
+        for (std::size_t i = 0; i < kDirty; ++i)
+            vm->mem().write_raw(0x80000 + i * kPageSize, 8, i + 1);
+        const auto t2 = Clock::now();
+        replay::restore_checkpoint(*second, vm.get(), &env);
+        restore_ns.push_back(ns_between(t2, Clock::now()));
+    }
+    out.full_take_ns = median(full_ns);
+    out.incremental_take_ns = median(incremental_ns);
+    out.rollback_restore_ns = median(restore_ns);
     return out;
 }
 
@@ -337,39 +398,74 @@ measure_checkpoint()
 struct BenchResults {
     InterpResult tb_alu;
     InterpResult tb_callret;
+    InterpResult tb_callret_armed;
     InterpResult interp_alu;
     InterpResult interp_alu_nocache;
     InterpResult interp_callret;
+    InterpResult interp_callret_armed;
+    /** Medians of the per-round ratios. @{ */
+    double tb_speedup_alu = 0.0;
+    double tb_speedup_call_ret = 0.0;
+    double tb_speedup_call_ret_armed = 0.0;
+    double decode_cache_speedup_alu = 0.0;
+    /** @} */
     CheckpointResult ck;
-
-    double tb_speedup_alu() const
-    {
-        return tb_alu.instr_per_sec / interp_alu.instr_per_sec;
-    }
-    double tb_speedup_call_ret() const
-    {
-        return tb_callret.instr_per_sec / interp_callret.instr_per_sec;
-    }
-    double decode_cache_speedup_alu() const
-    {
-        return interp_alu.instr_per_sec /
-               interp_alu_nocache.instr_per_sec;
-    }
 };
 
 BenchResults
 measure_all()
 {
+    const isa::Image alu = alu_loop_image();
+    const isa::Image callret = call_ret_image();
+    // Slices of 10-50 ms each on a ~3 GHz host.
+    LoopBench tb_alu(alu, true, true, false, 20000000);
+    LoopBench interp_alu(alu, false, true, false, 3000000);
+    LoopBench interp_alu_nocache(alu, false, false, false, 1000000);
+    LoopBench tb_callret(callret, true, true, false, 3000000);
+    LoopBench interp_callret(callret, false, true, false, 1000000);
+    LoopBench tb_armed(callret, true, true, true, 3000000);
+    LoopBench interp_armed(callret, false, true, true, 1000000);
+
+    /** (numerator, denominator) of one gated or reported ratio. */
+    struct Pair {
+        LoopBench* num;
+        LoopBench* den;
+        std::vector<double> ratios;
+    };
+    Pair pairs[] = {
+        {&tb_alu, &interp_alu, {}},
+        {&interp_alu, &interp_alu_nocache, {}},
+        {&tb_callret, &interp_callret, {}},
+        {&tb_armed, &interp_armed, {}},
+    };
+    for (int round = 0; round < kRounds; ++round) {
+        // Which side of a pair runs first alternates by round.
+        for (Pair& pair : pairs) {
+            double num;
+            double den;
+            if (round % 2 == 0) {
+                num = pair.num->run_slice();
+                den = pair.den->run_slice();
+            } else {
+                den = pair.den->run_slice();
+                num = pair.num->run_slice();
+            }
+            pair.ratios.push_back(num / den);
+        }
+    }
+
     BenchResults r;
-    r.tb_alu = measure_interpreter(alu_loop_image(), true, true, 50000000);
-    r.interp_alu =
-        measure_interpreter(alu_loop_image(), false, true, 20000000);
-    r.interp_alu_nocache =
-        measure_interpreter(alu_loop_image(), false, false, 2000000);
-    r.tb_callret =
-        measure_interpreter(call_ret_image(), true, true, 10000000);
-    r.interp_callret =
-        measure_interpreter(call_ret_image(), false, true, 10000000);
+    r.tb_alu = tb_alu.result();
+    r.interp_alu = interp_alu.result();
+    r.interp_alu_nocache = interp_alu_nocache.result();
+    r.tb_callret = tb_callret.result();
+    r.interp_callret = interp_callret.result();
+    r.tb_callret_armed = tb_armed.result();
+    r.interp_callret_armed = interp_armed.result();
+    r.tb_speedup_alu = median(pairs[0].ratios);
+    r.decode_cache_speedup_alu = median(pairs[1].ratios);
+    r.tb_speedup_call_ret = median(pairs[2].ratios);
+    r.tb_speedup_call_ret_armed = median(pairs[3].ratios);
     r.ck = measure_checkpoint();
     return r;
 }
@@ -390,22 +486,27 @@ write_bench_json(const BenchResults& r, const char* path)
                      name, m.instr_per_sec, m.ns_per_instr, sep);
     };
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"rsafe-bench-micro-v2\",\n");
+    std::fprintf(f, "  \"schema\": \"rsafe-bench-micro-v3\",\n");
+    std::fprintf(f, "  \"rounds\": %d,\n", kRounds);
     std::fprintf(f, "  \"tb\": {\n");
     metric("alu_loop", r.tb_alu, ",");
-    metric("call_ret", r.tb_callret, "");
+    metric("call_ret", r.tb_callret, ",");
+    metric("call_ret_armed", r.tb_callret_armed, "");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"interpreter\": {\n");
     metric("alu_loop", r.interp_alu, ",");
     metric("alu_loop_no_decode_cache", r.interp_alu_nocache, ",");
-    metric("call_ret", r.interp_callret, "");
+    metric("call_ret", r.interp_callret, ",");
+    metric("call_ret_armed", r.interp_callret_armed, "");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"ratios\": {\n");
-    std::fprintf(f, "    \"tb_speedup_alu\": %.3f,\n", r.tb_speedup_alu());
+    std::fprintf(f, "    \"tb_speedup_alu\": %.3f,\n", r.tb_speedup_alu);
     std::fprintf(f, "    \"tb_speedup_call_ret\": %.3f,\n",
-                 r.tb_speedup_call_ret());
+                 r.tb_speedup_call_ret);
+    std::fprintf(f, "    \"tb_speedup_call_ret_armed\": %.3f,\n",
+                 r.tb_speedup_call_ret_armed);
     std::fprintf(f, "    \"decode_cache_speedup_alu\": %.3f\n",
-                 r.decode_cache_speedup_alu());
+                 r.decode_cache_speedup_alu);
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"checkpoint\": {\n");
     std::fprintf(f, "    \"full_take_ns\": %.0f,\n", r.ck.full_take_ns);
@@ -422,7 +523,7 @@ write_bench_json(const BenchResults& r, const char* path)
     std::printf(
         "wrote %s (tb %.1f Minstr/s, interp %.1f, tb speedup %.2fx)\n",
         path, r.tb_alu.instr_per_sec / 1e6,
-        r.interp_alu.instr_per_sec / 1e6, r.tb_speedup_alu());
+        r.interp_alu.instr_per_sec / 1e6, r.tb_speedup_alu);
 }
 
 /** Pull "key": <number> out of @p text; NaN when the key is absent. */
@@ -474,8 +575,9 @@ run_gate(const BenchResults& r, const char* baseline_path)
     };
     // The TB ALU speedup carries an absolute floor of 2.5x on top of the
     // relative check; the others only guard against relative regressions.
-    check("tb_speedup_alu", r.tb_speedup_alu(), 2.5);
-    check("decode_cache_speedup_alu", r.decode_cache_speedup_alu(), 0.0);
+    check("tb_speedup_alu", r.tb_speedup_alu, 2.5);
+    check("decode_cache_speedup_alu", r.decode_cache_speedup_alu, 0.0);
+    check("tb_speedup_call_ret_armed", r.tb_speedup_call_ret_armed, 0.0);
     return ok ? 0 : 1;
 }
 

@@ -4,52 +4,18 @@
 
 namespace rsafe::cpu {
 
-Ras::Ras(std::size_t depth) : depth_(depth)
+Ras::Ras(std::size_t depth)
 {
     if (depth == 0)
         fatal("Ras: depth must be positive");
-    stack_.reserve(depth);
-}
-
-std::optional<Addr>
-Ras::push(Addr addr)
-{
-    std::optional<Addr> evicted;
-    if (stack_.size() == depth_) {
-        evicted = stack_.front().addr;
-        stack_.erase(stack_.begin());
-    }
-    stack_.push_back(RasEntry{addr, false});
-    return evicted;
-}
-
-RasPredict
-Ras::predict(Addr ret_pc, Addr target, Addr* predicted)
-{
-    *predicted = 0;
-    if (whitelist_enabled_ && ret_whitelist_.count(ret_pc)) {
-        // Non-procedural return: the RAS holds no corresponding entry,
-        // so popping it would corrupt the stack (Section 4.4).
-        if (tar_whitelist_.count(target))
-            return RasPredict::kWhitelisted;
-        return RasPredict::kWhitelistMiss;
-    }
-    if (stack_.empty())
-        return RasPredict::kUnderflow;
-    const RasEntry top = stack_.back();
-    stack_.pop_back();
-    *predicted = top.addr;
-    if (top.addr != target)
-        return RasPredict::kMispredict;
-    return top.restored ? RasPredict::kHitRestored : RasPredict::kHit;
+    ring_.resize(depth);
 }
 
 SavedRas
 Ras::save_and_clear()
 {
-    SavedRas saved;
-    saved.entries = std::move(stack_);
-    stack_.clear();
+    SavedRas saved = peek();
+    clear();
     return saved;
 }
 
@@ -57,18 +23,24 @@ SavedRas
 Ras::peek() const
 {
     SavedRas saved;
-    saved.entries = stack_;
+    saved.entries.reserve(size_);
+    // The bottom entry sits size_ slots below the top.
+    std::size_t slot = (top_ + ring_.size() - size_) % ring_.size();
+    for (std::size_t i = 0; i < size_; ++i) {
+        saved.entries.push_back(ring_[slot]);
+        slot = slot + 1 == ring_.size() ? 0 : slot + 1;
+    }
     return saved;
 }
 
 void
 Ras::load(const SavedRas& saved)
 {
-    stack_.clear();
+    // Replaying the pushes keeps the newest depth() entries, bottom first.
+    clear();
     for (const auto& entry : saved.entries) {
-        if (stack_.size() == depth_)
-            stack_.erase(stack_.begin());
-        stack_.push_back(RasEntry{entry.addr, true});
+        push(entry.addr);
+        ring_[top_slot()].restored = true;
     }
 }
 

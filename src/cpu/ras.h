@@ -1,9 +1,10 @@
 #ifndef RSAFE_CPU_RAS_H_
 #define RSAFE_CPU_RAS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -25,6 +26,14 @@
  *
  * Entries restored from a BackRAS are tagged so the simulator can count
  * how many mispredictions the BackRAS mechanism suppressed (Figure 8).
+ *
+ * Storage: a fixed ring of depth() entries, allocated once. A push onto
+ * a full RAS overwrites the bottom (oldest) entry in place, so push and
+ * pop are O(1) at any depth; the top is the slot before top_. The
+ * whitelists hold a handful of PCs each (one ret, three targets for
+ * the guest kernel) and are flat vectors scanned linearly. push(),
+ * predict() and would_predict() are defined here so the interpreter and
+ * the TB engine's call/ret micro-ops inline them.
  */
 
 namespace rsafe::cpu {
@@ -59,16 +68,30 @@ class Ras {
     explicit Ras(std::size_t depth = kDefaultDepth);
 
     /** @return configured depth. */
-    std::size_t depth() const { return depth_; }
+    std::size_t depth() const { return ring_.size(); }
 
     /** @return current number of valid entries. */
-    std::size_t size() const { return stack_.size(); }
+    std::size_t size() const { return size_; }
+
+    /** @return true when the next push() evicts the oldest entry. */
+    bool full() const { return size_ == ring_.size(); }
 
     /**
      * Push a return address (a call executed).
      * @return the evicted oldest entry if the stack was full.
      */
-    std::optional<Addr> push(Addr addr);
+    std::optional<Addr> push(Addr addr)
+    {
+        // When full, the slot at top_ holds the bottom entry.
+        std::optional<Addr> evicted;
+        if (full())
+            evicted = ring_[top_].addr;
+        else
+            ++size_;
+        ring_[top_] = RasEntry{addr, false};
+        top_ = top_ + 1 == ring_.size() ? 0 : top_ + 1;
+        return evicted;
+    }
 
     /**
      * Predict at a return instruction.
@@ -76,21 +99,51 @@ class Ras {
      * @param target     the actual target (from the software stack).
      * @param predicted  out: the popped prediction (0 if none was popped).
      */
-    RasPredict predict(Addr ret_pc, Addr target, Addr* predicted);
+    RasPredict predict(Addr ret_pc, Addr target, Addr* predicted)
+    {
+        *predicted = 0;
+        if (ret_whitelisted(ret_pc)) {
+            // Non-procedural return: the RAS holds no corresponding entry,
+            // so popping it would corrupt the stack (Section 4.4).
+            return listed(tar_whitelist_, target) ? RasPredict::kWhitelisted
+                                                  : RasPredict::kWhitelistMiss;
+        }
+        if (size_ == 0)
+            return RasPredict::kUnderflow;
+        top_ = top_slot();
+        --size_;
+        const RasEntry& top = ring_[top_];
+        *predicted = top.addr;
+        if (top.addr != target)
+            return RasPredict::kMispredict;
+        return top.restored ? RasPredict::kHitRestored : RasPredict::kHit;
+    }
+
+    /**
+     * @return true when predict(@p ret_pc, @p target) would be a hit
+     * (restored or not) or a whitelisted return, i.e. raise no alarm.
+     * Reads the RAS without changing it.
+     */
+    bool would_predict(Addr ret_pc, Addr target) const
+    {
+        if (ret_whitelisted(ret_pc))
+            return listed(tar_whitelist_, target);
+        return size_ != 0 && ring_[top_slot()].addr == target;
+    }
 
     /** Enable/disable whitelist checking (ablation hook). */
     void set_whitelist_enabled(bool enabled) { whitelist_enabled_ = enabled; }
 
-    /** Install the single-entry return whitelist (hypervisor only). */
-    void set_ret_whitelist(const std::unordered_set<Addr>& pcs)
+    /** Install the return whitelist (hypervisor only). */
+    void set_ret_whitelist(std::vector<Addr> pcs)
     {
-        ret_whitelist_ = pcs;
+        ret_whitelist_ = std::move(pcs);
     }
 
     /** Install the target whitelist (hypervisor only). */
-    void set_tar_whitelist(const std::unordered_set<Addr>& pcs)
+    void set_tar_whitelist(std::vector<Addr> pcs)
     {
-        tar_whitelist_ = pcs;
+        tar_whitelist_ = std::move(pcs);
     }
 
     /** Microcode: dump all entries into a BackRAS element and clear. */
@@ -103,14 +156,35 @@ class Ras {
     void load(const SavedRas& saved);
 
     /** Drop all entries (e.g., at VM reset). */
-    void clear() { stack_.clear(); }
+    void clear()
+    {
+        top_ = 0;
+        size_ = 0;
+    }
 
   private:
-    std::size_t depth_;
-    std::vector<RasEntry> stack_;  ///< bottom at index 0
+    /** @return the slot of the top entry (meaningful when size_ > 0). */
+    std::size_t top_slot() const
+    {
+        return top_ == 0 ? ring_.size() - 1 : top_ - 1;
+    }
+
+    static bool listed(const std::vector<Addr>& list, Addr pc)
+    {
+        return std::find(list.begin(), list.end(), pc) != list.end();
+    }
+
+    bool ret_whitelisted(Addr ret_pc) const
+    {
+        return whitelist_enabled_ && listed(ret_whitelist_, ret_pc);
+    }
+
+    std::vector<RasEntry> ring_;  ///< depth() slots, never resized
+    std::size_t top_ = 0;         ///< slot the next push writes
+    std::size_t size_ = 0;        ///< valid entries, at most depth()
     bool whitelist_enabled_ = true;
-    std::unordered_set<Addr> ret_whitelist_;
-    std::unordered_set<Addr> tar_whitelist_;
+    std::vector<Addr> ret_whitelist_;
+    std::vector<Addr> tar_whitelist_;
 };
 
 }  // namespace rsafe::cpu

@@ -566,13 +566,24 @@ Cpu::run_tb(InstrCount budget)
     // run() already fired the hook for the entry PC; only a later arrival
     // at a breakpoint returns control.
     bool progressed = false;
-    const bool callret_pure = !vmcs_.controls.ras_alarm_enabled &&
-                              !vmcs_.controls.ras_evict_exit &&
-                              !vmcs_.controls.trap_kernel_call_ret &&
-                              !vmcs_.controls.trap_user_call_ret;
+    // A call or ret leaves the block only when exec_one would leave guest
+    // execution for it: a call/ret trap armed for the block's mode (fixed
+    // within a block: syscall and iret bail), a call that evicts with
+    // eviction exits on, or a ret that would alarm with alarms on. The
+    // micro-ops test this before they mutate anything. Controls only
+    // change in VM-exit handlers, after which run_tb has returned.
+    const auto& controls = vmcs_.controls;
+    const bool trap_kernel_call_ret = controls.trap_kernel_call_ret;
+    const bool trap_user_call_ret = controls.trap_user_call_ret;
+    const bool ras_evict_exit = controls.ras_evict_exit;
+    const bool ras_alarm_enabled = controls.ras_alarm_enabled;
+    ras_.set_whitelist_enabled(controls.whitelist_enabled);
     auto& regs = state_.regs;
     Addr pc = state_.pc;
     bool kernel = state_.mode == Mode::kKernel;
+    const auto call_ret_trapped = [&] {
+        return kernel ? trap_kernel_call_ret : trap_user_call_ret;
+    };
     InstrCount done = 0;
     InstrCount kdone = 0;
     // Engine event counters accumulate in locals; one RMW each at spill.
@@ -699,7 +710,7 @@ Cpu::run_tb(InstrCount budget)
             // hook before the instruction executes. (Chained TB→TB flow
             // cannot land here — no block ever starts at a breakpoint.)
             if (bp_active && progressed &&
-                vmcs_.breakpoints.count(pc) != 0) [[unlikely]] {
+                eng.is_breakpoint(pc)) [[unlikely]] {
                 spill();
                 return StepResult::kOk;
             }
@@ -952,7 +963,8 @@ Cpu::run_tb(InstrCount budget)
             slot = -1;
             goto block_done;
         UOP(Call) {
-            if (!callret_pure) [[unlikely]]
+            if (call_ret_trapped() ||
+                (ras_evict_exit && ras_.full())) [[unlikely]]
                 goto uop_bail;
             const Addr link = static_cast<Addr>(u->pc) + kInstrBytes;
             // Push the link without pre-decrementing sp so a stack fault
@@ -961,14 +973,15 @@ Cpu::run_tb(InstrCount budget)
                 mem::MemResult::kOk) [[unlikely]]
                 goto uop_bail;
             state_.sp -= 8;
-            ras_.push(link);  // evict exit off under callret_pure
+            ras_.push(link);  // evicts only with the evict exit off
             ++stats_.calls;
             new_pc = zext32(u->imm);
             slot = kChainTaken;
             goto block_done;
         }
         UOP(Callr) {
-            if (!callret_pure) [[unlikely]]
+            if (call_ret_trapped() ||
+                (ras_evict_exit && ras_.full())) [[unlikely]]
                 goto uop_bail;
             const Addr link = static_cast<Addr>(u->pc) + kInstrBytes;
             if (mem_->write(state_.sp - 8, 8, link) !=
@@ -982,18 +995,20 @@ Cpu::run_tb(InstrCount budget)
             goto block_done;
         }
         UOP(Ret) {
-            if (!callret_pure) [[unlikely]]
+            if (call_ret_trapped()) [[unlikely]]
                 goto uop_bail;
             Word target;
             if (mem_->read(state_.sp, 8, &target) !=
                 mem::MemResult::kOk) [[unlikely]]
                 goto uop_bail;
+            const Addr ret_pc = static_cast<Addr>(u->pc);
+            if (ras_alarm_enabled &&
+                !ras_.would_predict(ret_pc, target)) [[unlikely]]
+                goto uop_bail;
             state_.sp += 8;
             ++stats_.rets;
-            ras_.set_whitelist_enabled(vmcs_.controls.whitelist_enabled);
             Addr predicted = 0;
-            switch (ras_.predict(static_cast<Addr>(u->pc), target,
-                                 &predicted)) {
+            switch (ras_.predict(ret_pc, target, &predicted)) {
               case RasPredict::kHit:
                 ++stats_.ras_hits;
                 break;
@@ -1005,7 +1020,7 @@ Cpu::run_tb(InstrCount budget)
                 ++stats_.ras_whitelisted;
                 break;
               default:
-                break;  // alarm disabled under callret_pure
+                break;  // a miss alarms only when alarms are on
             }
             new_pc = target;
             slot = -1;
@@ -1083,7 +1098,7 @@ Cpu::run_tb(InstrCount budget)
 
       uop_bail:
         // The current uop cannot run in translated form (fault path,
-        // MMIO, call/ret with exits armed): nothing of it has retired.
+        // MMIO, a call/ret that exits): nothing of it has retired.
         done += u->icount_off;
         kdone += kernel ? u->icount_off : 0;
         budget -= u->icount_off;

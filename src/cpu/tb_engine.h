@@ -57,9 +57,18 @@
  * Determinism: a translated run retires exactly the same instruction
  * sequence, side effects, cycle charges (one per instruction in batch
  * mode) and RAS traffic as the interpreter; anything the flat trace
- * cannot reproduce exactly (privileged ops, I/O, traps, call/ret with
- * exits armed, faults, MMIO) bails out to Cpu::exec_one, the single
- * canonical implementation. Replay barriers are respected by budget: a
+ * cannot reproduce exactly (privileged ops, I/O, traps, faults, MMIO)
+ * bails out to Cpu::exec_one, the single canonical implementation.
+ * Calls and rets retire inside the block with the RAS push, predict and
+ * statistics inlined, also while the recorder's RAS alarms and eviction
+ * exits are armed. Before it mutates anything, a call or ret bails only
+ * when exec_one would leave guest execution for it:
+ *  - a call/ret trap is armed for the block's mode (trap_kernel_call_ret
+ *    in kernel mode, trap_user_call_ret in user mode),
+ *  - a call finds the RAS full while ras_evict_exit is set,
+ *  - a ret would not be a hit or a whitelisted return (a mispredict,
+ *    underflow or whitelist miss) while ras_alarm_enabled is set.
+ * Replay barriers are respected by budget: a
  * block is only entered whole when the remaining instruction budget
  * covers it, so execution stops exactly at perf-counter stops,
  * interrupt-injection icounts and checkpoint boundaries.

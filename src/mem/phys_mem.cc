@@ -1,6 +1,5 @@
 #include "mem/phys_mem.h"
 
-#include <bit>
 #include <cstring>
 
 #include "common/log.h"
@@ -8,12 +7,6 @@
 namespace rsafe::mem {
 
 namespace {
-
-/**
- * The interpreter's load/store fast path copies whole little-endian words
- * with memcpy; the byte-loop fallback keeps big-endian hosts correct.
- */
-constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
 
 /** Little-endian load of @p len <= 8 bytes at @p p, byte by byte. */
 Word
@@ -88,7 +81,7 @@ PhysMem::perms_at(Addr addr) const
 }
 
 MemResult
-PhysMem::read(Addr addr, std::size_t len, Word* out) const
+PhysMem::read_slow(Addr addr, std::size_t len, Word* out) const
 {
     if (!in_range(addr, len))
         return MemResult::kOutOfRange;
@@ -115,7 +108,7 @@ PhysMem::read(Addr addr, std::size_t len, Word* out) const
 }
 
 MemResult
-PhysMem::write(Addr addr, std::size_t len, Word value)
+PhysMem::write_slow(Addr addr, std::size_t len, Word value)
 {
     if (!in_range(addr, len))
         return MemResult::kOutOfRange;

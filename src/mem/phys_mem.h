@@ -1,7 +1,9 @@
 #ifndef RSAFE_MEM_PHYS_MEM_H_
 #define RSAFE_MEM_PHYS_MEM_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/types.h"
@@ -25,7 +27,15 @@
  *    is all a sub-page store pays for tracking,
  *  - every content-changing operation on an executable page bumps that
  *    page's generation counter, which the CPU's predecoded-instruction
- *    cache validates against on every fetch.
+ *    cache validates against on every fetch,
+ *  - read() and write() are inline for the access guest code makes
+ *    almost exclusively — an aligned 8-byte word, which never straddles
+ *    a page — on a readable (load) or writable, non-executable (store)
+ *    page: a range check, one permission byte, a memcpy and, for a
+ *    store, mark_dirty(). Every other access (byte-sized, unaligned,
+ *    straddling, faulting, or a store to an executable page, which must
+ *    bump the generation and notify the listeners) takes the
+ *    out-of-line path, which implements the full semantics.
  *
  * Every entry point that can change a byte (write, write_raw,
  * write_block, load_image, restore_page) marks the page in the store,
@@ -94,10 +104,32 @@ class PhysMem {
     std::uint8_t perms_at(Addr addr) const;
 
     /** Guest data read of @p len <= 8 bytes (little-endian). */
-    MemResult read(Addr addr, std::size_t len, Word* out) const;
+    MemResult read(Addr addr, std::size_t len, Word* out) const
+    {
+        // An aligned word below size() lies wholly inside one page.
+        if (kLittleEndianHost && len == 8 && (addr & 7) == 0 &&
+            addr < size() && (perms_[page_of(addr)] & kPermRead)) [[likely]] {
+            std::memcpy(out, store_.bytes() + addr, 8);
+            return MemResult::kOk;
+        }
+        return read_slow(addr, len, out);
+    }
 
     /** Guest data write of @p len <= 8 bytes; honors W and marks dirty. */
-    MemResult write(Addr addr, std::size_t len, Word value);
+    MemResult write(Addr addr, std::size_t len, Word value)
+    {
+        if (kLittleEndianHost && len == 8 && (addr & 7) == 0 &&
+            addr < size()) [[likely]] {
+            const Addr page = page_of(addr);
+            if ((perms_[page] & (kPermWrite | kPermExec)) ==
+                kPermWrite) [[likely]] {
+                std::memcpy(store_.bytes() + addr, &value, 8);
+                store_.mark_dirty(page);
+                return MemResult::kOk;
+            }
+        }
+        return write_slow(addr, len, value);
+    }
 
     /** Instruction fetch: requires X permission on the page. */
     MemResult fetch(Addr addr, std::uint8_t out[kInstrBytes]) const;
@@ -164,6 +196,17 @@ class PhysMem {
     std::uint64_t content_hash() const { return store_.content_hash(); }
 
   private:
+    /**
+     * The inline word paths copy whole little-endian words with memcpy;
+     * on a big-endian host every access takes the byte-wise slow path.
+     */
+    static constexpr bool kLittleEndianHost =
+        std::endian::native == std::endian::little;
+
+    /** read()/write() for every access the inline path does not take. */
+    MemResult read_slow(Addr addr, std::size_t len, Word* out) const;
+    MemResult write_slow(Addr addr, std::size_t len, Word value);
+
     bool in_range(Addr addr, std::size_t len) const
     {
         return addr + len <= size() && addr + len >= addr;

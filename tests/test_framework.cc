@@ -10,6 +10,7 @@
 #include "core/framework.h"
 #include "core/rop_detector.h"
 #include "kernel/layout.h"
+#include "rnr/wire.h"
 #include "test_util.h"
 #include "workloads/attack_mix.h"
 #include "workloads/benchmarks.h"
@@ -211,6 +212,22 @@ struct AbDigest {
     InstrCount cr_icount = 0;
     Cycles cr_cycles = 0;
     std::vector<std::pair<std::string, std::uint64_t>> counters;
+    // The recording side: the TB engine retires call/ret inside blocks
+    // while the recorder's RAS alarms and eviction exits are armed, so
+    // clocks, RAS traffic and the log itself must match the interpreter.
+    InstrCount rec_icount = 0;
+    Cycles rec_cycles = 0;
+    std::uint64_t rec_calls = 0;
+    std::uint64_t rec_rets = 0;
+    std::uint64_t rec_ras_hits = 0;
+    std::uint64_t rec_ras_hits_restored = 0;
+    std::uint64_t rec_ras_whitelisted = 0;
+    std::uint64_t rec_ras_alarms = 0;
+    std::uint64_t rec_ras_evictions = 0;
+    std::size_t log_records = 0;
+    std::size_t log_alarm_records = 0;
+    std::size_t log_evict_records = 0;
+    std::uint64_t log_fnv = 0;
 
     bool operator==(const AbDigest&) const = default;
 };
@@ -238,6 +255,24 @@ run_ab(const std::function<std::unique_ptr<hv::Vm>()>& factory,
     d.cr_icount = result.cr_vm->cpu().icount();
     d.cr_cycles = result.cr_vm->cpu().cycles();
     d.counters = result.pipeline_stats.snapshot();
+
+    const cpu::Cpu& rec_cpu = result.recorded_vm->cpu();
+    d.rec_icount = rec_cpu.icount();
+    d.rec_cycles = rec_cpu.cycles();
+    const cpu::CpuStats& st = rec_cpu.stats();
+    d.rec_calls = st.calls;
+    d.rec_rets = st.rets;
+    d.rec_ras_hits = st.ras_hits;
+    d.rec_ras_hits_restored = st.ras_hits_restored;
+    d.rec_ras_whitelisted = st.ras_whitelisted;
+    d.rec_ras_alarms = st.ras_alarms;
+    d.rec_ras_evictions = st.ras_evictions;
+    const rnr::InputLog& log = result.recorder->log();
+    d.log_records = log.size();
+    d.log_alarm_records = log.find_all(rnr::RecordType::kRasAlarm).size();
+    d.log_evict_records = log.find_all(rnr::RecordType::kRasEvict).size();
+    const std::vector<std::uint8_t> bytes = log.serialize();
+    d.log_fnv = rnr::wire::fnv1a64(bytes.data(), bytes.size());
     return d;
 }
 
@@ -257,6 +292,12 @@ TEST(Framework, TbEngineABDeterminismAcrossWorkloads)
         const auto without_tb =
             run_ab(factory, core::PipelineMode::kSerial, false);
         EXPECT_EQ(with_tb, without_tb) << name;
+        if (std::string(name) == "apache") {
+            // apache overflows the RAS and mispredicts during recording,
+            // so the TB's evict and alarm bails are both exercised.
+            EXPECT_EQ(with_tb.log_evict_records, 3u);
+            EXPECT_EQ(with_tb.log_alarm_records, 3u);
+        }
     }
 }
 
@@ -271,6 +312,7 @@ TEST(Framework, TbEngineABDeterminismOnAttackMix)
     const auto serial_tb =
         run_ab(mix.factory, core::PipelineMode::kSerial, true);
     EXPECT_TRUE(serial_tb.attack) << "attack mix must still detect";
+    EXPECT_EQ(serial_tb.log_alarm_records, 4u);  // the ROP + 3 gadget rets
     const auto serial_interp =
         run_ab(mix.factory, core::PipelineMode::kSerial, false);
     EXPECT_EQ(serial_tb, serial_interp);
@@ -281,6 +323,19 @@ TEST(Framework, TbEngineABDeterminismOnAttackMix)
     const auto conc_interp =
         run_ab(mix.factory, core::PipelineMode::kConcurrent, false);
     EXPECT_EQ(serial_tb, conc_interp);
+}
+
+TEST(Framework, TbEngineABDeterminismOnEightAttackerMix)
+{
+    // The rop-storm shape: eight attackers raise 32 RAS alarms during
+    // recording, each a TB ret bail into exec_one's alarm path.
+    workloads::AttackMixOptions options;
+    options.attackers = 8;
+    const auto mix = workloads::attack_mix(options);
+    const auto with_tb = run_ab(mix.factory, core::PipelineMode::kSerial, true);
+    EXPECT_EQ(with_tb.log_alarm_records, 32u);
+    EXPECT_EQ(with_tb,
+              run_ab(mix.factory, core::PipelineMode::kSerial, false));
 }
 
 TEST(ConcurrentPipeline, BenignStreamingRunMatchesSerial)

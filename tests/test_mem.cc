@@ -245,6 +245,142 @@ TEST(PhysMem, ContentHashSkipsPristinePagesButMatchesEveryByte)
     EXPECT_EQ(mem.content_hash(), fnv_bytes(all_bytes(mem)));
 }
 
+// The inline word path (aligned, in-page, 8 bytes on a non-X page) and
+// the out-of-line path behind it must agree at every edge.
+
+TEST(PhysMem, LastAlignedWordOfRam)
+{
+    PhysMem mem(2 * kPageSize);
+    const Addr last = mem.size() - 8;
+    mem.clear_dirty();
+    ASSERT_EQ(mem.write(last, 8, 0x0102030405060708ULL), MemResult::kOk);
+    Word out = 0;
+    ASSERT_EQ(mem.read(last, 8, &out), MemResult::kOk);
+    EXPECT_EQ(out, 0x0102030405060708ULL);
+    EXPECT_EQ(mem.read_raw(mem.size() - 1, 1), 0x01u);
+    EXPECT_EQ(mem.pages().dirty_pages(), std::vector<std::uint64_t>{1});
+    // One word further is past the end, aligned or not.
+    EXPECT_EQ(mem.read(mem.size(), 8, &out), MemResult::kOutOfRange);
+    EXPECT_EQ(mem.write(mem.size(), 8, 1), MemResult::kOutOfRange);
+    EXPECT_EQ(mem.read(last + 4, 8, &out), MemResult::kOutOfRange);
+}
+
+TEST(PhysMem, AccessWrappingPastTheAddressSpaceIsOutOfRange)
+{
+    PhysMem mem(kPageSize);
+    const Addr aligned = ~static_cast<Addr>(7);  // addr + 8 wraps to 0
+    const Addr unaligned = ~static_cast<Addr>(3);
+    Word out = 5;
+    EXPECT_EQ(mem.read(aligned, 8, &out), MemResult::kOutOfRange);
+    EXPECT_EQ(mem.write(aligned, 8, 1), MemResult::kOutOfRange);
+    EXPECT_EQ(mem.read(unaligned, 8, &out), MemResult::kOutOfRange);
+    EXPECT_EQ(mem.write(unaligned, 8, 1), MemResult::kOutOfRange);
+    EXPECT_EQ(out, 5u);
+    EXPECT_EQ(mem.pages().dirty_count(), 0u);
+}
+
+TEST(PhysMem, UnalignedInPageAccessRoundTrips)
+{
+    PhysMem mem(2 * kPageSize);
+    mem.clear_dirty();
+    ASSERT_EQ(mem.write(kPageSize + 3, 8, 0x1122334455667788ULL),
+              MemResult::kOk);
+    Word out = 0;
+    ASSERT_EQ(mem.read(kPageSize + 3, 8, &out), MemResult::kOk);
+    EXPECT_EQ(out, 0x1122334455667788ULL);
+    EXPECT_EQ(mem.read_raw(kPageSize + 3, 1), 0x88u);
+    EXPECT_EQ(mem.pages().dirty_pages(), std::vector<std::uint64_t>{1});
+}
+
+TEST(PhysMem, StraddlingAccessRoundTripsAndNeedsBothPages)
+{
+    PhysMem mem(3 * kPageSize);
+    const Addr addr = 2 * kPageSize - 3;
+    ASSERT_EQ(mem.write(addr, 8, 0xa1b2c3d4e5f60718ULL), MemResult::kOk);
+    Word out = 0;
+    ASSERT_EQ(mem.read(addr, 8, &out), MemResult::kOk);
+    EXPECT_EQ(out, 0xa1b2c3d4e5f60718ULL);
+    mem.set_perms(2 * kPageSize, kPageSize, kPermNone);
+    EXPECT_EQ(mem.read(addr, 8, &out), MemResult::kNoPerm);
+    EXPECT_EQ(mem.write(addr, 8, 0), MemResult::kNoPerm);
+}
+
+TEST(PhysMem, LoadFromANoReadPageFails)
+{
+    PhysMem mem(2 * kPageSize);
+    mem.write_raw(kPageSize + 16, 8, 0x99);
+    mem.set_perms(kPageSize, kPageSize, kPermWrite);  // write-only
+    Word out = 7;
+    EXPECT_EQ(mem.read(kPageSize + 16, 8, &out), MemResult::kNoPerm);
+    EXPECT_EQ(mem.read(kPageSize + 16, 1, &out), MemResult::kNoPerm);
+    EXPECT_EQ(out, 7u);
+    EXPECT_EQ(mem.write(kPageSize + 16, 8, 1), MemResult::kOk);
+}
+
+/** Counts the generation bumps PhysMem reports, per page. */
+class CountingListener : public CodeWriteListener {
+  public:
+    void on_code_page_touched(Addr page) override { pages.push_back(page); }
+    std::vector<Addr> pages;
+};
+
+TEST(PhysMem, StoreToAnRxPageIsRefusedWithoutSideEffects)
+{
+    PhysMem mem(2 * kPageSize);
+    mem.set_perms(0, kPageSize, kPermRX);
+    CountingListener listener;
+    mem.add_code_listener(&listener);
+    mem.clear_dirty();
+    const std::uint64_t gen = mem.page_gen(0);
+    EXPECT_EQ(mem.write(16, 8, 1), MemResult::kNoPerm);
+    EXPECT_EQ(mem.write(17, 1, 1), MemResult::kNoPerm);
+    EXPECT_EQ(mem.page_gen(0), gen);
+    EXPECT_TRUE(listener.pages.empty());
+    EXPECT_EQ(mem.pages().dirty_count(), 0u);
+    EXPECT_EQ(mem.read_raw(16, 8), 0u);
+    mem.remove_code_listener(&listener);
+}
+
+TEST(PhysMem, StoreToAnRwxPageBumpsTheGenerationAndNotifiesOnce)
+{
+    PhysMem mem(2 * kPageSize);
+    mem.set_perms(kPageSize, kPageSize, kPermRWX);
+    CountingListener listener;
+    mem.add_code_listener(&listener);
+    mem.clear_dirty();
+    const std::uint64_t gen = mem.page_gen(1);
+    ASSERT_EQ(mem.write(kPageSize + 8, 8, 0xfeed), MemResult::kOk);
+    EXPECT_EQ(mem.page_gen(1), gen + 1);
+    EXPECT_EQ(listener.pages, std::vector<Addr>{1});
+    EXPECT_EQ(mem.read_raw(kPageSize + 8, 8), 0xfeedu);
+    EXPECT_EQ(mem.pages().dirty_pages(), std::vector<std::uint64_t>{1});
+    // A store to an RW page leaves every generation alone.
+    ASSERT_EQ(mem.write(8, 8, 1), MemResult::kOk);
+    EXPECT_EQ(listener.pages, std::vector<Addr>{1});
+    mem.remove_code_listener(&listener);
+}
+
+TEST(PhysMem, WordAndByteStoresMarkDirtyAndClearPristine)
+{
+    PhysMem mem(4 * kPageSize);
+    ASSERT_EQ(mem.write(kPageSize + 8, 8, 0), MemResult::kOk);    // word
+    ASSERT_EQ(mem.write(3 * kPageSize + 5, 1, 0), MemResult::kOk);  // byte
+    EXPECT_TRUE(mem.pages().pristine(0));
+    EXPECT_FALSE(mem.pages().pristine(1));
+    EXPECT_TRUE(mem.pages().pristine(2));
+    EXPECT_FALSE(mem.pages().pristine(3));
+    EXPECT_EQ(mem.pages().dirty_pages(), (std::vector<std::uint64_t>{1, 3}));
+    mem.clear_dirty();
+    // A repeated store to a page already dirty in this interval, and a
+    // load, leave the count alone; the first store after clear counts.
+    ASSERT_EQ(mem.write(kPageSize + 16, 8, 3), MemResult::kOk);
+    ASSERT_EQ(mem.write(kPageSize + 24, 8, 4), MemResult::kOk);
+    Word out;
+    ASSERT_EQ(mem.read(2 * kPageSize, 8, &out), MemResult::kOk);
+    EXPECT_EQ(mem.pages().dirty_count(), 1u);
+    EXPECT_TRUE(mem.pages().pristine(2));
+}
+
 // The guest disk is a PageStore (one block per page): these pin the
 // store's behaviour through the disk's block-level use of it.
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <random>
+#include <tuple>
+#include <unordered_set>
+#include <vector>
+
 #include "common/log.h"
 #include "cpu/ras.h"
 
@@ -195,6 +201,183 @@ TEST_P(RasDepthSweep, OverflowLosesExactlyTheOldest)
 
 INSTANTIATE_TEST_SUITE_P(Depths, RasDepthSweep,
                          ::testing::Values(1, 2, 4, 16, 32, 48, 64));
+
+/**
+ * Reference model: the RAS as a bottom-first vector whose push erases
+ * the front when full, with hash-set whitelists. The ring must agree
+ * with it on every outcome, prediction, eviction and saved image.
+ */
+class RefRas {
+  public:
+    explicit RefRas(std::size_t depth) : depth_(depth) {}
+
+    std::optional<Addr> push(Addr addr)
+    {
+        std::optional<Addr> evicted;
+        if (stack_.size() == depth_) {
+            evicted = stack_.front().addr;
+            stack_.erase(stack_.begin());
+        }
+        stack_.push_back(RasEntry{addr, false});
+        return evicted;
+    }
+
+    RasPredict predict(Addr ret_pc, Addr target, Addr* predicted)
+    {
+        *predicted = 0;
+        if (whitelist_enabled_ && ret_whitelist_.count(ret_pc)) {
+            return tar_whitelist_.count(target) ? RasPredict::kWhitelisted
+                                                : RasPredict::kWhitelistMiss;
+        }
+        if (stack_.empty())
+            return RasPredict::kUnderflow;
+        const RasEntry top = stack_.back();
+        stack_.pop_back();
+        *predicted = top.addr;
+        if (top.addr != target)
+            return RasPredict::kMispredict;
+        return top.restored ? RasPredict::kHitRestored : RasPredict::kHit;
+    }
+
+    std::vector<RasEntry> peek() const { return stack_; }
+
+    std::vector<RasEntry> save_and_clear()
+    {
+        std::vector<RasEntry> saved = std::move(stack_);
+        stack_.clear();
+        return saved;
+    }
+
+    void load(const std::vector<RasEntry>& saved)
+    {
+        stack_.clear();
+        for (const auto& entry : saved) {
+            if (stack_.size() == depth_)
+                stack_.erase(stack_.begin());
+            stack_.push_back(RasEntry{entry.addr, true});
+        }
+    }
+
+    void clear() { stack_.clear(); }
+    std::size_t size() const { return stack_.size(); }
+
+    bool whitelist_enabled_ = true;
+    std::unordered_set<Addr> ret_whitelist_;
+    std::unordered_set<Addr> tar_whitelist_;
+
+  private:
+    std::size_t depth_;
+    std::vector<RasEntry> stack_;
+};
+
+void
+expect_same_entries(const std::vector<RasEntry>& ring,
+                    const std::vector<RasEntry>& ref, int step)
+{
+    ASSERT_EQ(ring.size(), ref.size()) << "step " << step;
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+        EXPECT_EQ(ring[i].addr, ref[i].addr) << "step " << step << " #" << i;
+        EXPECT_EQ(ring[i].restored, ref[i].restored)
+            << "step " << step << " #" << i;
+    }
+}
+
+/** (depth, whitelists enabled); the whitelists are always installed */
+class RasDifferential
+    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
+
+TEST_P(RasDifferential, RingMatchesVectorModel)
+{
+    const auto [depth, whitelists] = GetParam();
+    Ras ras(depth);
+    RefRas ref(depth);
+    // Small address pools so predictions hit as often as they miss.
+    constexpr Addr kWhitelistedRet = 0x500;
+    const std::vector<Addr> targets = {0xA0, 0xB0, 0xC0};
+    ras.set_ret_whitelist({kWhitelistedRet});
+    ras.set_tar_whitelist({0xA0, 0xB0});
+    ras.set_whitelist_enabled(whitelists);
+    ref.ret_whitelist_ = {kWhitelistedRet};
+    ref.tar_whitelist_ = {0xA0, 0xB0};
+    ref.whitelist_enabled_ = whitelists;
+
+    std::mt19937_64 rng(0x5eed + depth * 2 + (whitelists ? 1 : 0));
+    const auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    std::vector<std::vector<RasEntry>> saved_images;
+    std::size_t evictions = 0;
+    std::size_t hits = 0;
+    std::size_t underflows = 0;
+    for (int step = 0; step < 20000; ++step) {
+        // Phases of 1000 steps alternate between filling the RAS past
+        // its depth and draining it below empty.
+        const std::size_t push_share = (step / 1000) % 2 == 0 ? 70 : 25;
+        const std::size_t op = pick(100);
+        if (op < push_share) {
+            const Addr addr = targets[pick(targets.size())] + pick(4);
+            const auto got = ras.push(addr);
+            const auto want = ref.push(addr);
+            ASSERT_EQ(got, want) << "push, step " << step;
+            evictions += want.has_value() ? 1 : 0;
+            EXPECT_EQ(ras.full(), ref.size() == depth) << "step " << step;
+        } else if (op < 93) {
+            const Addr ret_pc = pick(4) == 0 ? kWhitelistedRet : 0x900;
+            const Addr target = targets[pick(targets.size())] + pick(4);
+            Addr got_pred = 1;
+            Addr want_pred = 2;
+            const bool quiet = ras.would_predict(ret_pc, target);
+            const RasPredict got = ras.predict(ret_pc, target, &got_pred);
+            const RasPredict want = ref.predict(ret_pc, target, &want_pred);
+            ASSERT_EQ(got, want) << "predict, step " << step;
+            EXPECT_EQ(got_pred, want_pred) << "step " << step;
+            EXPECT_EQ(quiet, want == RasPredict::kHit ||
+                                 want == RasPredict::kHitRestored ||
+                                 want == RasPredict::kWhitelisted)
+                << "would_predict, step " << step;
+            hits += want == RasPredict::kHit ||
+                            want == RasPredict::kHitRestored
+                        ? 1
+                        : 0;
+            underflows += want == RasPredict::kUnderflow ? 1 : 0;
+        } else if (op < 97) {
+            const SavedRas image = ras.peek();
+            expect_same_entries(image.entries, ref.peek(), step);
+            saved_images.push_back(image.entries);
+        } else if (op < 98) {
+            const SavedRas image = ras.save_and_clear();
+            expect_same_entries(image.entries, ref.save_and_clear(), step);
+            saved_images.push_back(image.entries);
+        } else if (pick(10) != 0) {
+            // Reload a saved image, sometimes one larger than the depth
+            // (two images back to back) so load() must truncate.
+            std::vector<RasEntry> image;
+            if (!saved_images.empty()) {
+                image = saved_images[pick(saved_images.size())];
+                if (pick(2) == 0) {
+                    const auto& more = saved_images[pick(saved_images.size())];
+                    image.insert(image.end(), more.begin(), more.end());
+                }
+            }
+            ras.load(SavedRas{image});
+            ref.load(image);
+        } else {
+            ras.clear();
+            ref.clear();
+        }
+        ASSERT_EQ(ras.size(), ref.size()) << "step " << step;
+    }
+    expect_same_entries(ras.peek().entries, ref.peek(), -1);
+    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(underflows, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DepthsAndWhitelists, RasDifferential,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
+                                         std::size_t{48}),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace rsafe::cpu
